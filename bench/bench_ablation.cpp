@@ -26,10 +26,7 @@ void run_variant(bench::JsonReport& json, const char* name,
     heur::AnnealingOptions sa_opts;
     sa_opts.iterations = bench::sa_iterations();
     const auto sa = heur::anneal(p, obj, sa_opts);
-    if (sa.feasible) {
-      opts.initial_upper = sa.cost;
-      opts.warm_start = sa.allocation;
-    }
+    if (sa.feasible) opts.warm_start = sa.allocation;
   }
   opts.time_limit_s = bench::budget_seconds();
   const auto res = alloc::optimize(p, obj, opts);

@@ -70,10 +70,7 @@ inline RunOutcome run_experiment(const alloc::Problem& problem,
   if (const char* env = std::getenv("OPTALLOC_NO_INPROCESS")) {
     if (env[0] != '\0' && env[0] != '0') opts.inprocess = false;
   }
-  if (out.sa.feasible) {
-    opts.initial_upper = out.sa.cost;
-    opts.warm_start = out.sa.allocation;
-  }
+  if (out.sa.feasible) opts.warm_start = out.sa.allocation;
   const obs::PerfCounts perf_before = obs::perf_read();
   out.sat = alloc::optimize(problem, objective, opts);
   out.perf = obs::perf_delta(obs::perf_read(), perf_before);

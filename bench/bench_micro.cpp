@@ -159,8 +159,7 @@ BENCHMARK(BM_EncodeTindellPrefix)->Arg(7)->Arg(12)->Arg(20);
 
 void BM_VerifyTindell(benchmark::State& state) {
   const alloc::Problem p = workload::tindell_prefix(20);
-  // A known-feasible allocation from the greedy heuristic path: build one
-  // via verify-compatible completion (tasks on their cheapest ECUs).
+  // A known-feasible allocation: the SAT model of the feasibility problem.
   alloc::AllocEncoder enc(p, alloc::Objective::feasibility());
   enc.build();
   if (enc.solve({}, {}) != sat::LBool::kTrue) {

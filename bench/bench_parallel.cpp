@@ -122,10 +122,7 @@ int main() {
     sa_opts.iterations = bench::sa_iterations();
     const auto sa = heur::anneal(inst.problem, objective, sa_opts);
     alloc::OptimizeOptions base;
-    if (sa.feasible) {
-      base.initial_upper = sa.cost;
-      base.warm_start = sa.allocation;
-    }
+    if (sa.feasible) base.warm_start = sa.allocation;
 
     std::printf("\ninstance %s (%d tasks)\n", inst.name, tasks);
     std::printf("%-8s %-9s %-10s %-22s %-9s %-9s %s\n", "workers", "sharing",

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc/cost.hpp"
 #include "alloc/io.hpp"
 #include "net/dot.hpp"
 #include "obs/metrics.hpp"
@@ -139,6 +140,10 @@ int main(int argc, char** argv) {
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  if (const auto why = alloc::validate_objective(problem, objective)) {
+    std::fprintf(stderr, "error: %s\n", why->c_str());
     return 2;
   }
   if (want_stats) obs::set_phase_timing(true);

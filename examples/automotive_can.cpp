@@ -75,10 +75,7 @@ int main(int argc, char** argv) {
   if (sa_only) return 0;
 
   alloc::OptimizeOptions opts;
-  if (sa.feasible) {
-    opts.initial_upper = sa.cost;
-    opts.warm_start = sa.allocation;
-  }
+  if (sa.feasible) opts.warm_start = sa.allocation;
   const alloc::OptimizeResult res = alloc::optimize(p, objective, opts);
   std::printf("SAT optimizer:       %s, U_CAN = %.3f (%d SAT calls)\n",
               res.status_string().c_str(),

@@ -10,6 +10,28 @@ namespace optalloc::alloc {
 
 using rt::Ticks;
 
+std::optional<std::string> validate_objective(const Problem& problem,
+                                              Objective objective) {
+  rt::MediumType type{};
+  switch (objective.kind) {
+    case ObjectiveKind::kTokenRingTrt: type = rt::MediumType::kTokenRing; break;
+    case ObjectiveKind::kCanLoad: type = rt::MediumType::kCan; break;
+    default: return std::nullopt;
+  }
+  const std::string what = objective.describe();
+  if (objective.medium < 0 ||
+      objective.medium >= static_cast<int>(problem.arch.media.size())) {
+    return what + ": no such medium (the problem has " +
+           std::to_string(problem.arch.media.size()) + " media)";
+  }
+  if (problem.arch.media[static_cast<std::size_t>(objective.medium)].type !=
+      type) {
+    return what + ": not a " +
+           (type == rt::MediumType::kCan ? "CAN" : "token-ring") + " medium";
+  }
+  return std::nullopt;
+}
+
 std::int64_t objective_value(const Problem& problem,
                              Objective objective,
                              const rt::Allocation& allocation) {

@@ -5,11 +5,18 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "alloc/problem.hpp"
 #include "rt/model.hpp"
 
 namespace optalloc::alloc {
+
+/// Why `objective` cannot be evaluated on `problem` (a medium index out of
+/// range, or a medium of the wrong type for trt:/can-load:); nullopt when
+/// it can. Every entry point checks it before anything indexes the medium.
+std::optional<std::string> validate_objective(const Problem& problem,
+                                              Objective objective);
 
 /// Objective value of an allocation (assumed feasible): TRT = Lambda of
 /// the medium, SumTRT = sum over rings, CanLoad = sum over bus messages

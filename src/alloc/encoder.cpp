@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "alloc/cost.hpp"
 #include "obs/metrics.hpp"
 #include "rt/analysis.hpp"
 #include "util/intmath.hpp"
@@ -805,21 +806,17 @@ void AllocEncoder::build_messages() {
 
 void AllocEncoder::build_cost() {
   group("objective");
+  if (const auto why = validate_objective(problem_, objective_)) {
+    throw std::invalid_argument(*why);
+  }
   const NodeId zero = ctx_.constant(0);
   switch (objective_.kind) {
     case ObjectiveKind::kFeasibility:
       cost_ = zero;
       break;
-    case ObjectiveKind::kTokenRingTrt: {
-      if (objective_.medium < 0 ||
-          objective_.medium >= static_cast<int>(problem_.arch.media.size()) ||
-          problem_.arch.media[static_cast<std::size_t>(objective_.medium)]
-                  .type != rt::MediumType::kTokenRing) {
-        throw std::invalid_argument("kTokenRingTrt: not a token-ring medium");
-      }
+    case ObjectiveKind::kTokenRingTrt:
       cost_ = lambda_[static_cast<std::size_t>(objective_.medium)];
       break;
-    }
     case ObjectiveKind::kSumTrt: {
       std::vector<NodeId> lambdas;
       for (const NodeId l : lambda_) {
@@ -829,12 +826,6 @@ void AllocEncoder::build_cost() {
       break;
     }
     case ObjectiveKind::kCanLoad: {
-      if (objective_.medium < 0 ||
-          objective_.medium >= static_cast<int>(problem_.arch.media.size()) ||
-          problem_.arch.media[static_cast<std::size_t>(objective_.medium)]
-                  .type != rt::MediumType::kCan) {
-        throw std::invalid_argument("kCanLoad: not a CAN medium");
-      }
       const int k = objective_.medium;
       const rt::Medium& medium =
           problem_.arch.media[static_cast<std::size_t>(k)];
@@ -892,12 +883,15 @@ void AllocEncoder::build_cost() {
 
 sat::LBool AllocEncoder::solve(std::optional<std::int64_t> cost_lo,
                                std::optional<std::int64_t> cost_hi,
-                               sat::Budget budget) {
+                               sat::Budget budget,
+                               std::span<const sat::Lit> assumptions) {
   if (!ok_ || !solver_->ok()) return sat::LBool::kFalse;
-  std::vector<sat::Lit> assumptions;
-  if (cost_lo || cost_hi) {
-    const std::int64_t lo = cost_lo.value_or(cost_range_.lo);
-    const std::int64_t hi = cost_hi.value_or(cost_range_.hi);
+  std::vector<sat::Lit> all(assumptions.begin(), assumptions.end());
+  const std::int64_t lo = cost_lo.value_or(cost_range_.lo);
+  const std::int64_t hi = cost_hi.value_or(cost_range_.hi);
+  if (lo > cost_range_.lo || hi < cost_range_.hi) {
+    // The guard is a memoized Tseitin literal: probing the same interval
+    // twice (in a session, across revisions too) reuses the encoding.
     const auto key = std::make_pair(lo, hi);
     auto it = bound_guards_.find(key);
     if (it == bound_guards_.end()) {
@@ -906,9 +900,9 @@ sat::LBool AllocEncoder::solve(std::optional<std::int64_t> cost_lo,
           ctx_.le(cost_, ctx_.constant(hi)));
       it = bound_guards_.emplace(key, blaster_->formula_lit(bound)).first;
     }
-    assumptions.push_back(it->second);
+    all.push_back(it->second);
   }
-  return solver_->solve(assumptions, budget);
+  return solver_->solve(all, budget);
 }
 
 bool AllocEncoder::assert_cost_bounds(std::int64_t lo, std::int64_t hi) {

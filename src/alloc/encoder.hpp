@@ -114,12 +114,15 @@ class AllocEncoder {
   /// Inclusive range of the cost variable.
   ir::Range cost_range() const { return cost_range_; }
 
-  /// Solve the asserted system under optional cost bounds (incremental:
-  /// bounds enter as assumption literals, so learned clauses survive
-  /// across calls — the paper's Section 7 improvement).
+  /// Solve the asserted system under `assumptions` and optional cost
+  /// bounds (incremental: bounds enter as one memoized assumption
+  /// literal, so learned clauses survive across calls — the paper's
+  /// Section 7 improvement). Bounds spanning the whole cost range add no
+  /// literal.
   sat::LBool solve(std::optional<std::int64_t> cost_lo,
                    std::optional<std::int64_t> cost_hi,
-                   sat::Budget budget = {});
+                   sat::Budget budget = {},
+                   std::span<const sat::Lit> assumptions = {});
 
   /// Assert cost bounds permanently (used by the non-incremental mode).
   bool assert_cost_bounds(std::int64_t lo, std::int64_t hi);
@@ -137,11 +140,9 @@ class AllocEncoder {
   const pb::PbPropagator& pb() const { return *pb_; }
   const net::PathClosures& closures() const { return *closures_; }
 
-  /// Session-mode outputs: the recorded (group, formula) pairs of the
-  /// last build(), and the cost node the session's bound guards compare
-  /// against. Empty/invalid unless constructed with an EncoderBackend.
+  /// Session-mode output: the recorded (group, formula) pairs of the
+  /// last build(). Empty unless constructed with an EncoderBackend.
   std::span<const GroupedFormula> grouped() const { return grouped_; }
-  ir::NodeId cost_node() const { return cost_; }
 
   // --- Certification hooks (see src/check) ------------------------------
 

@@ -236,25 +236,13 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
       obs::TraceEvent("bound_sync").num("lower", lower).num("upper", upper);
     }
   };
-  // The first SOLVE can be capped by a sibling's incumbent as well as the
-  // caller-provided one.
-  auto first_solve_cap = [&]() -> std::optional<std::int64_t> {
-    std::optional<std::int64_t> cap = options.initial_upper;
-    if (interval != nullptr) {
-      const std::int64_t gu = interval->upper();
-      if (gu != par::SharedInterval::kNoUpper && (!cap || gu < *cap)) {
-        cap = gu;
-      }
-    }
-    return cap;
-  };
-
   // --- Certification machinery (active only under options.certify). -----
   // Every SAT answer is replayed against the PB store and the pre-encode
   // IR formulas; every UNSAT answer contributes its core lemma as a proof
-  // obligation, discharged by one backward RUP-checking pass at the end
-  // (incremental mode) or per call (scratch mode); the final allocation is
-  // re-validated by the independent RT analysis.
+  // obligation, discharged by one backward RUP-checking pass when its
+  // encoder retires (at the end in incremental mode, per call in scratch
+  // mode); the final allocation is re-validated by the independent RT
+  // analysis.
   std::vector<std::size_t> unsat_steps;  // proof-step indices of UNSAT cores
   bool cert_ok = true;
   auto cert_fail = [&](std::string msg) {
@@ -410,148 +398,63 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
     if (options.certify) e.boolean("certified", result.certified);
   };
 
-  // --- Incremental mode: one encoder, bounds as assumptions. ------------
-  if (options.incremental) {
-    // The proof log must be attached before build() so it captures the
-    // whole clause database; one log spans the entire binary search, and
-    // one backward pass at the end discharges every UNSAT step's core.
-    sat::ProofLog local_proof;
-    sat::ProofLog* proof = options.proof != nullptr
-                               ? options.proof
-                               : options.certify ? &local_proof : nullptr;
-    AllocEncoder enc(problem, objective, options.encoder);
-    if (options.tuning) apply_tuning(enc.solver(), *options.tuning);
-    apply_inprocess(enc.solver(), options);
-    if (proof != nullptr) enc.set_proof(proof);
-
-    auto finish = [&](OptimizeResult::Status status) {
-      result.status = status;
-      if (options.certify &&
-          (status == OptimizeResult::Status::kOptimal ||
-           status == OptimizeResult::Status::kInfeasible)) {
-        if (proof != nullptr &&
-            (!unsat_steps.empty() ||
-             status == OptimizeResult::Status::kInfeasible)) {
-          certify_proof(*proof, unsat_steps);
-        }
-        certify_allocation();
-        result.certified = cert_ok;
-      }
-      absorb_stats(result.stats, enc);
-      result.stats.seconds = total.seconds();
-      trace_optimum();
-      flush_optimize_metrics(result);
-      return result;
-    };
+  // --- The SOLVE pipeline. ----------------------------------------------
+  // Incremental mode: one encoder answers every SOLVE, with the bounds as
+  // assumptions; its proof log spans the whole search. Scratch mode (the
+  // paper's base procedure): a fresh encoder per SOLVE, with the bounds
+  // asserted permanently and a proof log of its own. The proof log must be
+  // attached before build() so it captures the whole clause database.
+  std::unique_ptr<AllocEncoder> enc;
+  std::unique_ptr<sat::ProofLog> own_proof;
+  sat::ProofLog* proof = nullptr;
+  auto make_encoder = [&] {
+    if (options.incremental && options.proof != nullptr) {
+      proof = options.proof;
+    } else if (options.certify) {
+      own_proof = std::make_unique<sat::ProofLog>();
+      proof = own_proof.get();
+    }
+    enc = std::make_unique<AllocEncoder>(problem, objective, options.encoder);
+    if (options.tuning) apply_tuning(enc->solver(), *options.tuning);
+    apply_inprocess(enc->solver(), options);
+    if (proof != nullptr) enc->set_proof(proof);
+    bool built = false;
     {
       obs::Span span("encode");
       Stopwatch sw;
-      const bool built = enc.build();
+      built = enc->build();
       const double secs = sw.seconds();
       result.stats.encode_seconds += secs;
       obs::observe(encode_ms_hist(), secs * 1000.0);
-      if (!built) return finish(OptimizeResult::Status::kInfeasible);
     }
+    if (!built) return false;
     // Clause exchange joins here: the variable count right after build()
     // delimits the deterministic base encoding every sibling worker
     // shares; later bound-guard variables are query-order-dependent and
     // stay private.
-    if (options.share != nullptr) {
-      options.share->attach(enc.solver(), enc.solver().num_vars());
+    if (options.incremental && options.share != nullptr) {
+      options.share->attach(enc->solver(), enc->solver().num_vars());
     }
+    if (options.warm_start) enc->hint(*options.warm_start);
+    return true;
+  };
+  // Retire the current encoder: discharge its UNSAT cores (when
+  // `check_proof`) and fold its solver statistics into the result.
+  auto retire = [&](bool check_proof) {
+    if (check_proof && proof != nullptr) certify_proof(*proof, unsat_steps);
+    absorb_stats(result.stats, *enc);
+    enc.reset();
+    unsat_steps.clear();
+  };
 
-    // R := SOLVE(phi): the first query yields an upper estimate. A
-    // verified warm-start allocation short-circuits it entirely — its
-    // objective value *is* a feasible R — and additionally biases the
-    // solver's phases for the search steps that follow.
-    std::int64_t upper = 0;
-    bool have_upper = false;
-    if (options.warm_start) {
-      enc.hint(*options.warm_start);
-      const auto warm_cost =
-          evaluate_allocation(problem, objective, *options.warm_start);
-      if (warm_cost) {
-        upper = *warm_cost;
-        result.cost = upper;
-        result.allocation = *options.warm_start;
-        result.has_allocation = true;
-        have_upper = true;
-        announce_incumbent(upper);
-      }
-    }
-    sat::LBool verdict = sat::LBool::kUndef;
-    if (!have_upper) {
-      const std::optional<std::int64_t> cap = first_solve_cap();
-      verdict = timed_solve(enc, {}, cap);
-      if (verdict == sat::LBool::kFalse && cap) {
-        verdict = timed_solve(enc, {}, {});
-      }
-      if (verdict == sat::LBool::kFalse) {
-        return finish(OptimizeResult::Status::kInfeasible);
-      }
-      if (verdict == sat::LBool::kUndef) {
-        return finish(OptimizeResult::Status::kBudgetExhausted);
-      }
-      certify_model(enc, {}, {});
-      upper = enc.decode_cost();
-      result.cost = upper;
-      result.allocation = enc.decode();
-      result.has_allocation = true;
-      announce_incumbent(upper);
-    }
-    std::int64_t lower = enc.cost_range().lo;
-    log_info("optimize: initial solution cost=%lld, searching [%lld, %lld]",
-             static_cast<long long>(upper), static_cast<long long>(lower),
-             static_cast<long long>(upper));
-    report_progress(lower, upper);
-
-    // BIN_SEARCH(phi). The paper's loop sets L := M on an UNSAT interval
-    // [L, M]; since the optimum then lies in (M, R], we advance to M + 1
-    // (fixing the paper's off-by-one, which would not terminate for
-    // R = L + 1).
-    while (lower < upper) {
-      if (out_of_time()) {
-        result.lower_bound = lower;
-        return finish(OptimizeResult::Status::kBudgetExhausted);
-      }
-      sync_shared_bounds(lower, upper);
-      if (lower >= upper) break;
-      const std::int64_t mid =
-          options.strategy == SearchStrategy::kBisection
-              ? lower + (upper - lower) / 2
-              : upper - 1;
-      verdict = timed_solve(enc, lower, mid);
-      if (verdict == sat::LBool::kUndef) {
-        result.lower_bound = lower;
-        return finish(OptimizeResult::Status::kBudgetExhausted);
-      }
-      if (verdict == sat::LBool::kFalse) {
-        lower = mid + 1;
-        publish_lower_bound(lower);
-      } else {
-        certify_model(enc, lower, mid);
-        upper = enc.decode_cost();
-        result.cost = upper;
-        result.allocation = enc.decode();
-        result.has_allocation = true;
-        announce_incumbent(upper);
-      }
-      log_info("optimize: interval [%lld, %lld]",
-               static_cast<long long>(lower), static_cast<long long>(upper));
-      report_progress(lower, upper);
-    }
-    result.cost = upper;
-    result.lower_bound = upper;
-    publish_lower_bound(upper);
-    return finish(OptimizeResult::Status::kOptimal);
-  }
-
-  // --- Scratch mode: fresh encoder per SOLVE (paper's base procedure). --
-  auto finish_scratch = [&](OptimizeResult::Status status) {
+  auto finish = [&](OptimizeResult::Status status) {
     result.status = status;
-    if (options.certify &&
-        (status == OptimizeResult::Status::kOptimal ||
-         status == OptimizeResult::Status::kInfeasible)) {
+    const bool definitive = status != OptimizeResult::Status::kBudgetExhausted;
+    if (enc) {
+      retire(definitive && (!unsat_steps.empty() ||
+                            status == OptimizeResult::Status::kInfeasible));
+    }
+    if (options.certify && definitive) {
       certify_allocation();
       result.certified = cert_ok;
     }
@@ -560,93 +463,78 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
     flush_optimize_metrics(result);
     return result;
   };
-  auto scratch_solve = [&](std::optional<std::int64_t> lo,
-                           std::optional<std::int64_t> hi,
-                           std::int64_t& cost_out,
-                           rt::Allocation& alloc_out,
-                           ir::Range& cost_range_out) -> sat::LBool {
-    // Scratch proofs are per call: each UNSAT answer is checked on the
-    // spot, against the clause database of its own throwaway solver.
-    sat::ProofLog call_proof;
-    unsat_steps.clear();
-    AllocEncoder enc(problem, objective, options.encoder);
-    if (options.tuning) apply_tuning(enc.solver(), *options.tuning);
-    apply_inprocess(enc.solver(), options);
-    if (options.certify) enc.set_proof(&call_proof);
-    bool built = false;
-    {
-      obs::Span span("encode");
-      Stopwatch sw;
-      built = enc.build();
-      const double secs = sw.seconds();
-      result.stats.encode_seconds += secs;
-      obs::observe(encode_ms_hist(), secs * 1000.0);
-    }
-    cost_range_out = enc.cost_range();
+
+  if (!make_encoder()) return finish(OptimizeResult::Status::kInfeasible);
+  const ir::Range range = enc->cost_range();
+
+  auto probe = [&](std::int64_t lo, std::int64_t hi) -> ProbeResult {
+    if (out_of_time()) return {};
     sat::LBool verdict = sat::LBool::kFalse;
-    if (built && (!lo || !hi || enc.assert_cost_bounds(*lo, *hi))) {
-      verdict = timed_solve(enc, {}, {});
+    if (options.incremental) {
+      verdict = timed_solve(*enc, lo, hi);
+    } else if ((enc != nullptr || make_encoder()) &&
+               ((lo <= range.lo && hi >= range.hi) ||
+                enc->assert_cost_bounds(lo, hi))) {
+      // Scratch: the set-up encoder answers the first SOLVE.
+      verdict = timed_solve(*enc, {}, {});
     } else {
       // Encode-time UNSAT still counts as one (answered) SOLVE call.
       ++result.stats.sat_calls;
       ++result.stats.sat_calls_unsat;
     }
+    std::int64_t cost = 0;
     if (verdict == sat::LBool::kTrue) {
-      certify_model(enc, lo, hi);
-      cost_out = enc.decode_cost();
-      alloc_out = enc.decode();
-    } else if (verdict == sat::LBool::kFalse && options.certify) {
-      certify_proof(call_proof, unsat_steps);
+      certify_model(*enc, lo, hi);
+      cost = enc->decode_cost();
+      result.cost = cost;
+      result.allocation = enc->decode();
+      result.has_allocation = true;
+      announce_incumbent(cost);
+    } else if (verdict == sat::LBool::kFalse && hi < range.hi) {
+      publish_lower_bound(hi + 1);
     }
-    absorb_stats(result.stats, enc);
-    return verdict;
+    if (!options.incremental) retire(verdict == sat::LBool::kFalse);
+    return {verdict, cost};
   };
 
-  std::int64_t cost = -1;
-  rt::Allocation alloc;
-  ir::Range cost_range{0, 0};
-  sat::LBool verdict = scratch_solve({}, {}, cost, alloc, cost_range);
-  if (verdict == sat::LBool::kFalse) {
-    return finish_scratch(OptimizeResult::Status::kInfeasible);
-  }
-  if (verdict == sat::LBool::kUndef) {
-    return finish_scratch(OptimizeResult::Status::kBudgetExhausted);
-  }
-  std::int64_t upper = cost;
-  std::int64_t lower = cost_range.lo;
-  result.cost = upper;
-  result.allocation = alloc;
-  result.has_allocation = true;
-  announce_incumbent(upper);
-  report_progress(lower, upper);
-  while (lower < upper) {
-    if (out_of_time()) {
-      result.lower_bound = lower;
-      return finish_scratch(OptimizeResult::Status::kBudgetExhausted);
+  // A verified warm-start allocation short-circuits the first SOLVE: its
+  // objective value *is* a feasible upper estimate.
+  std::optional<std::int64_t> incumbent;
+  if (options.warm_start) {
+    incumbent = evaluate_allocation(problem, objective, *options.warm_start);
+    if (incumbent) {
+      result.cost = *incumbent;
+      result.allocation = *options.warm_start;
+      result.has_allocation = true;
+      announce_incumbent(*incumbent);
     }
-    sync_shared_bounds(lower, upper);
-    if (lower >= upper) break;
-    const std::int64_t mid = lower + (upper - lower) / 2;
-    verdict = scratch_solve(lower, mid, cost, alloc, cost_range);
-    if (verdict == sat::LBool::kUndef) {
-      result.lower_bound = lower;
-      return finish_scratch(OptimizeResult::Status::kBudgetExhausted);
-    }
-    if (verdict == sat::LBool::kFalse) {
-      lower = mid + 1;
-      publish_lower_bound(lower);
-    } else {
-      upper = cost;
-      result.cost = upper;
-      result.allocation = alloc;
-      announce_incumbent(upper);
-    }
-    report_progress(lower, upper);
   }
-  result.cost = upper;
-  result.lower_bound = upper;
-  publish_lower_bound(upper);
-  return finish_scratch(OptimizeResult::Status::kOptimal);
+  // A sibling's incumbent caps the first SOLVE.
+  std::optional<std::int64_t> cap;
+  if (interval != nullptr &&
+      interval->upper() != par::SharedInterval::kNoUpper) {
+    cap = interval->upper();
+  }
+  const SearchResult search = bin_search(
+      range, incumbent, cap, options.strategy, probe,
+      sync_shared_bounds, [&](std::int64_t lower, std::int64_t upper) {
+        log_info("optimize: interval [%lld, %lld]",
+                 static_cast<long long>(lower), static_cast<long long>(upper));
+        report_progress(lower, upper);
+      });
+  switch (search.verdict) {
+    case sat::LBool::kFalse:
+      return finish(OptimizeResult::Status::kInfeasible);
+    case sat::LBool::kUndef:
+      result.lower_bound = search.lower;
+      return finish(OptimizeResult::Status::kBudgetExhausted);
+    case sat::LBool::kTrue:
+      break;
+  }
+  result.cost = search.upper;
+  result.lower_bound = search.upper;
+  publish_lower_bound(search.upper);
+  return finish(OptimizeResult::Status::kOptimal);
 }
 
 }  // namespace optalloc::alloc

@@ -1,9 +1,9 @@
 #pragma once
 // The paper's Section 5.2 optimization loop: SOLVE is one SAT query over
-// the encoded constraint system; BIN_SEARCH narrows the cost interval by
-// repeated SOLVE calls until the optimum is pinned.
+// the encoded constraint system; BIN_SEARCH (alloc/search.hpp) narrows
+// the cost interval by repeated SOLVE calls until the optimum is pinned.
 //
-// Two execution modes:
+// Two execution modes, i.e. two ways to answer a SOLVE:
 //   * incremental (default): one solver instance; cost bounds enter as
 //     assumption literals over comparator circuits, so learned clauses
 //     carry over between search steps — the improvement the paper's
@@ -21,22 +21,13 @@
 
 #include "alloc/encoder.hpp"
 #include "alloc/problem.hpp"
+#include "alloc/search.hpp"
 
 namespace optalloc::par {
 class SharingClient;
 }  // namespace optalloc::par
 
 namespace optalloc::alloc {
-
-enum class SearchStrategy {
-  /// The paper's BIN_SEARCH: bisect the cost interval. Fewest SOLVE calls
-  /// but the mid-interval UNSAT proofs can be the hardest queries.
-  kBisection,
-  /// Walk down from the incumbent: SOLVE(cost <= upper - 1) repeatedly.
-  /// More calls, but every call until the optimum is satisfiable (cheap
-  /// with phase warm starts); only the final UNSAT proof is hard.
-  kDescending,
-};
 
 /// Anytime search-progress report: the state of the cost interval after a
 /// SOLVE call. `lower > upper` never holds; the interval shrinks
@@ -72,11 +63,9 @@ struct OptimizeOptions {
   sat::Budget per_call;
   /// Overall wall-clock limit in seconds (0 = unlimited).
   double time_limit_s = 0.0;
-  /// Known feasible objective value (e.g. from simulated annealing):
-  /// bounds the first SOLVE so the binary search starts from it.
-  std::optional<std::int64_t> initial_upper;
-  /// Known feasible allocation: biases the solver's first descent
-  /// (phase-saving warm start).
+  /// Known feasible allocation (e.g. from simulated annealing). Once
+  /// verified, its cost replaces the first SOLVE, and it biases every
+  /// solver's first descent (phase-saving warm start).
   std::optional<rt::Allocation> warm_start;
   /// Certify every step of the search (see src/check): SAT answers are
   /// replayed against the PB store and the pre-bit-blast IR formulas,

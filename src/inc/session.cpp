@@ -4,6 +4,8 @@
 #include <exception>
 #include <utility>
 
+#include "alloc/search.hpp"
+
 namespace optalloc::inc {
 
 namespace {
@@ -106,46 +108,34 @@ SessionResult Session::solve(const SolveLimits& limits) {
   if (!sync_encoding(out)) return finish(SessionResult::Status::kError);
 
   const ir::Range range = encoder_->cost_range();
-  const ir::NodeId cost = encoder_->cost_node();
-  ir::Context& ctx = backend_.ctx;
-
-  const auto probe = [&](std::int64_t lo, std::int64_t hi) -> sat::LBool {
-    sat::Budget budget;
-    budget.conflicts = limits.conflicts;
-    budget.stop = limits.stop;
+  sat::Budget per_call;
+  per_call.conflicts = limits.conflicts;
+  per_call.stop = limits.stop;
+  const auto probe = [&](std::int64_t lo,
+                         std::int64_t hi) -> alloc::ProbeResult {
+    sat::Budget budget = per_call;
     if (limits.deadline_s > 0.0) {
       const double left = limits.deadline_s - seconds_since(start);
-      if (left <= 0.0) return sat::LBool::kUndef;
+      if (left <= 0.0) return {};
       budget.seconds = left;
     }
     ++out.sat_calls;
-    std::vector<sat::Lit> assumptions = guard_assumptions_;
-    if (lo > range.lo || hi < range.hi) {
-      // The bound guard is a memoized Tseitin literal: probing the same
-      // interval twice (e.g. across revisions) reuses the encoding.
-      const ir::NodeId bound = ctx.land(ctx.ge(cost, ctx.constant(lo)),
-                                        ctx.le(cost, ctx.constant(hi)));
-      assumptions.push_back(backend_.blaster.formula_lit(bound));
-    }
-    return backend_.solver.solve(assumptions, budget);
+    const sat::LBool r = encoder_->solve(lo, hi, budget, guard_assumptions_);
+    if (r != sat::LBool::kTrue) return {r, 0};
+    out.allocation = encoder_->decode();
+    out.has_allocation = true;
+    return {r, encoder_->decode_cost()};
   };
 
-  // Warm start: one probe at the previous optimum decides whether the
-  // edit kept or improved the cost (SAT: continue below C*) or regressed
-  // it (UNSAT: the optimum moved up — search (C*, hi]).
-  std::int64_t lower = range.lo;
-  std::int64_t first_hi = range.hi;
-  if (prev_optimum_ && *prev_optimum_ >= range.lo &&
-      *prev_optimum_ < range.hi) {
-    first_hi = *prev_optimum_;
-  }
-  sat::LBool r = probe(lower, first_hi);
-  if (r == sat::LBool::kFalse && first_hi < range.hi) {
-    lower = first_hi + 1;
-    r = probe(lower, range.hi);
-  }
+  // Warm start: the first probe is capped at the previous optimum, which
+  // decides whether the edit kept or improved the cost (SAT: continue
+  // below C*) or regressed it (UNSAT: the optimum moved up — search
+  // (C*, hi]).
+  const alloc::SearchResult search =
+      alloc::bin_search(range, std::nullopt, prev_optimum_,
+                        alloc::SearchStrategy::kBisection, probe);
 
-  if (r == sat::LBool::kFalse) {
+  if (search.verdict == sat::LBool::kFalse) {
     // Infeasible instance. For the core, re-solve with only the group
     // guards (no cost bounds) when the last conflict involved a bound
     // assumption — the cost variable's own range makes this equivalent.
@@ -153,12 +143,9 @@ SessionResult Session::solve(const SolveLimits& limits) {
     CoreExplainer explainer(backend_.solver, groups_);
     std::vector<std::string> core =
         explainer.explain(backend_.solver.conflict_core());
-    if (lower > range.lo || first_hi < range.hi) {
-      sat::Budget budget;
-      budget.conflicts = limits.conflicts;
-      budget.stop = limits.stop;
+    if (search.lower > range.lo) {
       ++out.sat_calls;
-      if (backend_.solver.solve(guard_assumptions_, budget) ==
+      if (backend_.solver.solve(guard_assumptions_, per_call) ==
           sat::LBool::kFalse) {
         core = explainer.explain(backend_.solver.conflict_core());
       }
@@ -169,35 +156,12 @@ SessionResult Session::solve(const SolveLimits& limits) {
     out.core = std::move(core);
     return finish(SessionResult::Status::kInfeasible);
   }
-  if (r == sat::LBool::kUndef) {
-    out.lower_bound = lower;
-    return finish(SessionResult::Status::kUnknown);
-  }
-
-  // SAT: tighten with the optimizer's BIN_SEARCH discipline — probe
-  // [lower, mid], adopt the decoded cost as the new upper bound on SAT
-  // (often far below mid), raise lower on UNSAT.
-  std::int64_t upper = encoder_->decode_cost();
-  out.allocation = encoder_->decode();
-  out.has_allocation = true;
-  bool complete = true;
-  while (lower < upper) {
-    const std::int64_t mid = lower + (upper - lower) / 2;
-    r = probe(lower, mid);
-    if (r == sat::LBool::kTrue) {
-      upper = encoder_->decode_cost();
-      out.allocation = encoder_->decode();
-    } else if (r == sat::LBool::kFalse) {
-      lower = mid + 1;
-    } else {
-      complete = false;
-      break;
-    }
-  }
-  out.cost = upper;
-  out.lower_bound = complete ? upper : lower;
+  out.lower_bound = search.lower;
+  if (!search.has_upper) return finish(SessionResult::Status::kUnknown);
+  const bool complete = search.verdict == sat::LBool::kTrue;
+  out.cost = search.upper;
   out.proven_optimal = complete;
-  prev_optimum_ = upper;
+  prev_optimum_ = search.upper;
   return finish(complete ? SessionResult::Status::kOptimal
                          : SessionResult::Status::kFeasible);
 }

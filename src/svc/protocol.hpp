@@ -48,8 +48,8 @@
 // Every response carries "ok"; failures look like
 // {"ok":false,"error":m,"code":c} where `code` is a stable machine-
 // readable discriminator ("bad_json", "bad_request", "unknown_verb",
-// "unknown_id", "bad_problem", "queue_full", "unknown_session",
-// "bad_patch") — clients branch on it
+// "unknown_id", "bad_problem", "bad_objective", "queue_full",
+// "unknown_session", "bad_patch") — clients branch on it
 // without parsing prose. Unknown verbs in particular are answered (with
 // code "unknown_verb"), never silently dropped.
 // The problem text is the alloc::io file format embedded as one JSON

@@ -657,10 +657,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   if (job->request.conflict_budget > 0) {
     opts.per_call.conflicts = job->request.conflict_budget;
   }
-  if (sa.feasible) {
-    opts.initial_upper = sa.cost;
-    opts.warm_start = sa.allocation;
-  }
+  if (sa.feasible) opts.warm_start = sa.allocation;
 
   job->phase.store(static_cast<int>(JobPhase::kSolving),
                    std::memory_order_relaxed);

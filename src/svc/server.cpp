@@ -9,9 +9,11 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <utility>
 
+#include "alloc/cost.hpp"
 #include "alloc/io.hpp"
 #include "obs/trace.hpp"
 
@@ -34,6 +36,24 @@ bool send_all(int fd, const std::string& data) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// Fill `job` from a submit/session_open request; the error reply when
+/// its problem or objective is rejected.
+std::optional<std::string> parse_job(const Request& req, JobRequest& job) {
+  try {
+    std::istringstream in(req.problem_text);
+    job.problem = alloc::parse_problem(in, "submitted problem");
+    job.objective = alloc::parse_objective(req.objective);
+  } catch (const std::exception& e) {
+    return error_line(e.what(), "bad_problem");
+  }
+  if (const auto why = alloc::validate_objective(job.problem, job.objective)) {
+    return error_line(*why, "bad_objective");
+  }
+  job.deadline_s = req.deadline_ms / 1000.0;
+  job.conflict_budget = req.conflicts;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -172,15 +192,7 @@ std::string Server::handle_line(const std::string& line) {
   switch (req->verb) {
     case Request::Verb::kSubmit: {
       JobRequest job;
-      try {
-        std::istringstream in(req->problem_text);
-        job.problem = alloc::parse_problem(in, "submitted problem");
-        job.objective = alloc::parse_objective(req->objective);
-      } catch (const std::exception& e) {
-        return error_line(e.what(), "bad_problem");
-      }
-      job.deadline_s = req->deadline_ms / 1000.0;
-      job.conflict_budget = req->conflicts;
+      if (auto error = parse_job(*req, job)) return std::move(*error);
       job.threads = req->threads;
       const auto id = scheduler_.submit(std::move(job));
       if (!id) return error_line("queue full or shutting down", "queue_full");
@@ -246,15 +258,7 @@ std::string Server::handle_line(const std::string& line) {
       return query_line(*req);
     case Request::Verb::kSessionOpen: {
       JobRequest job;
-      try {
-        std::istringstream in(req->problem_text);
-        job.problem = alloc::parse_problem(in, "submitted problem");
-        job.objective = alloc::parse_objective(req->objective);
-      } catch (const std::exception& e) {
-        return error_line(e.what(), "bad_problem");
-      }
-      job.deadline_s = req->deadline_ms / 1000.0;
-      job.conflict_budget = req->conflicts;
+      if (auto error = parse_job(*req, job)) return std::move(*error);
       const auto opened = scheduler_.session_open(std::move(job));
       if (!opened) return error_line("shutting down", "queue_full");
       return session_line(opened->first, opened->second);

@@ -1,8 +1,14 @@
-// Optimizer-level tests: agreement of all search strategies, backends and
-// modes on the same optimum; the max-utilization objective; task release
-// jitter end-to-end; warm-start semantics; anytime/budget behavior.
+// Optimizer-level tests: the BIN_SEARCH loop over a fake probe; agreement
+// of all search strategies, backends and modes on the same optimum; the
+// max-utilization objective; task release jitter end-to-end; warm-start
+// semantics; anytime/budget behavior; objective validation.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "alloc/cost.hpp"
 #include "alloc/optimizer.hpp"
@@ -67,6 +73,133 @@ Problem random_problem(Rng& rng) {
   return p;
 }
 
+// BIN_SEARCH over a fake monotone probe: cost c is feasible iff c >= k;
+// a SAT answer reports the worst cost in the queried interval, so every
+// step narrows the interval as little as a probe may.
+struct FakeProbe {
+  std::int64_t k;
+  std::vector<std::pair<std::int64_t, std::int64_t>> calls;
+  ProbeResult operator()(std::int64_t lo, std::int64_t hi) {
+    calls.emplace_back(lo, hi);
+    if (hi < k) return {sat::LBool::kFalse, 0};
+    return {sat::LBool::kTrue, hi};
+  }
+};
+
+TEST(BinSearch, BothStrategiesPinTheOptimum) {
+  for (const SearchStrategy strategy :
+       {SearchStrategy::kBisection, SearchStrategy::kDescending}) {
+    for (const std::int64_t k : {0, 1, 7, 19, 20}) {
+      FakeProbe fake{k, {}};
+      const SearchResult r =
+          bin_search({0, 20}, std::nullopt, std::nullopt, strategy,
+                     std::ref(fake));
+      EXPECT_EQ(r.verdict, sat::LBool::kTrue) << k;
+      EXPECT_EQ(r.lower, k);
+      EXPECT_EQ(r.upper, k);
+      EXPECT_TRUE(r.has_upper);
+      ASSERT_FALSE(fake.calls.empty());
+      EXPECT_EQ(fake.calls.front(), std::make_pair(std::int64_t{0},
+                                                   std::int64_t{20}));
+    }
+  }
+}
+
+TEST(BinSearch, IncumbentSkipsTheFirstSolve) {
+  FakeProbe fake{5, {}};
+  const SearchResult r = bin_search({0, 20}, 9, std::nullopt,
+                                    SearchStrategy::kDescending,
+                                    std::ref(fake));
+  EXPECT_EQ(r.verdict, sat::LBool::kTrue);
+  EXPECT_EQ(r.upper, 5);
+  // Descending from 9: [0,8] [0,7] [0,6] [0,5] sat, [0,4] unsat.
+  ASSERT_EQ(fake.calls.size(), 5u);
+  EXPECT_EQ(fake.calls.front().second, 8);
+  EXPECT_EQ(fake.calls.back().second, 4);
+}
+
+TEST(BinSearch, CappedUnsatRaisesTheLowerBound) {
+  FakeProbe fake{12, {}};
+  std::vector<std::int64_t> lowers;
+  const SearchResult r = bin_search(
+      {0, 20}, std::nullopt, 8, SearchStrategy::kBisection, std::ref(fake),
+      {}, [&](std::int64_t lower, std::int64_t) { lowers.push_back(lower); });
+  EXPECT_EQ(r.verdict, sat::LBool::kTrue);
+  EXPECT_EQ(r.upper, 12);
+  ASSERT_GE(fake.calls.size(), 2u);
+  EXPECT_EQ(fake.calls[0], std::make_pair(std::int64_t{0}, std::int64_t{8}));
+  EXPECT_EQ(fake.calls[1], std::make_pair(std::int64_t{9}, std::int64_t{20}));
+  ASSERT_FALSE(lowers.empty());
+  EXPECT_EQ(lowers.front(), 9);
+}
+
+TEST(BinSearch, CapOutsideTheRangeIsIgnored) {
+  for (const std::int64_t cap : {-3, 20, 25}) {
+    FakeProbe fake{4, {}};
+    const SearchResult r = bin_search({0, 20}, std::nullopt, cap,
+                                      SearchStrategy::kBisection,
+                                      std::ref(fake));
+    EXPECT_EQ(r.upper, 4) << cap;
+    ASSERT_FALSE(fake.calls.empty());
+    EXPECT_EQ(fake.calls.front(),
+              std::make_pair(std::int64_t{0}, std::int64_t{20}))
+        << cap;
+  }
+}
+
+TEST(BinSearch, UndefMidSearchReturnsTheProvenInterval) {
+  FakeProbe fake{6, {}};
+  int calls = 0;
+  const SearchResult r = bin_search(
+      {0, 20}, std::nullopt, std::nullopt, SearchStrategy::kBisection,
+      [&](std::int64_t lo, std::int64_t hi) -> ProbeResult {
+        if (++calls == 3) return {};
+        return fake(lo, hi);
+      });
+  // [0,20] sat at 20; [0,10] sat at 10; then the budget runs out.
+  EXPECT_EQ(r.verdict, sat::LBool::kUndef);
+  EXPECT_EQ(r.lower, 0);
+  EXPECT_EQ(r.upper, 10);
+  EXPECT_TRUE(r.has_upper);
+}
+
+TEST(BinSearch, UndefFirstSolveHasNoUpperBound) {
+  const SearchResult r =
+      bin_search({3, 20}, std::nullopt, std::nullopt,
+                 SearchStrategy::kBisection,
+                 [](std::int64_t, std::int64_t) { return ProbeResult{}; });
+  EXPECT_EQ(r.verdict, sat::LBool::kUndef);
+  EXPECT_EQ(r.lower, 3);
+  EXPECT_FALSE(r.has_upper);
+}
+
+TEST(BinSearch, SyncThatClosesTheIntervalEndsTheSearch) {
+  FakeProbe fake{3, {}};
+  const SearchResult r = bin_search(
+      {0, 20}, 15, std::nullopt, SearchStrategy::kBisection, std::ref(fake),
+      [](std::int64_t& lower, std::int64_t& upper) {
+        lower = 11;  // a sibling proved 11 and found 11
+        upper = 11;
+      });
+  EXPECT_EQ(r.verdict, sat::LBool::kTrue);
+  EXPECT_EQ(r.lower, 11);
+  EXPECT_EQ(r.upper, 11);
+  EXPECT_TRUE(fake.calls.empty());
+}
+
+TEST(BinSearch, InfeasibleProbeGivesFalse) {
+  for (const std::optional<std::int64_t> cap :
+       {std::optional<std::int64_t>{}, std::optional<std::int64_t>{5}}) {
+    FakeProbe fake{21, {}};  // nothing in [0, 20] is feasible
+    const SearchResult r = bin_search({0, 20}, std::nullopt, cap,
+                                      SearchStrategy::kBisection,
+                                      std::ref(fake));
+    EXPECT_EQ(r.verdict, sat::LBool::kFalse);
+    EXPECT_FALSE(r.has_upper);
+    EXPECT_EQ(fake.calls.size(), cap ? 2u : 1u);
+  }
+}
+
 TEST(Strategies, AllVariantsAgreeOnTheOptimum) {
   Rng rng(0x517A7);
   int checked = 0;
@@ -84,23 +217,21 @@ TEST(Strategies, AllVariantsAgreeOnTheOptimum) {
     OptimizeOptions warm;
     const auto sa = heur::anneal(p, obj, {.seed = 5, .iterations = 1500});
     if (sa.feasible) warm.warm_start = sa.allocation;
+    OptimizeOptions scratch_descend = scratch;
+    scratch_descend.strategy = SearchStrategy::kDescending;
+    OptimizeOptions scratch_warm = warm;
+    scratch_warm.incremental = false;
 
     const OptimizeResult a = optimize(p, obj, bisect);
-    const OptimizeResult b = optimize(p, obj, descend);
-    const OptimizeResult c = optimize(p, obj, scratch);
-    const OptimizeResult d = optimize(p, obj, pbmix);
-    const OptimizeResult e = optimize(p, obj, warm);
-    ASSERT_EQ(a.status, b.status) << "round " << round;
-    ASSERT_EQ(a.status, c.status) << "round " << round;
-    ASSERT_EQ(a.status, d.status) << "round " << round;
-    ASSERT_EQ(a.status, e.status) << "round " << round;
-    if (a.status == OptimizeResult::Status::kOptimal) {
-      EXPECT_EQ(a.cost, b.cost) << "round " << round;
-      EXPECT_EQ(a.cost, c.cost) << "round " << round;
-      EXPECT_EQ(a.cost, d.cost) << "round " << round;
-      EXPECT_EQ(a.cost, e.cost) << "round " << round;
-      ++checked;
+    for (const OptimizeOptions& o :
+         {descend, scratch, pbmix, warm, scratch_descend, scratch_warm}) {
+      const OptimizeResult r = optimize(p, obj, o);
+      ASSERT_EQ(a.status, r.status) << "round " << round;
+      if (a.status == OptimizeResult::Status::kOptimal) {
+        EXPECT_EQ(a.cost, r.cost) << "round " << round;
+      }
     }
+    if (a.status == OptimizeResult::Status::kOptimal) ++checked;
   }
   EXPECT_GT(checked, 8);
 }
@@ -253,13 +384,18 @@ TEST(Budget, WarmStartGivesAnytimeAnswerUnderTinyBudget) {
   const auto sa =
       heur::anneal(p, Objective::ring_trt(0), {.seed = 2, .iterations = 3000});
   ASSERT_TRUE(sa.feasible);
-  OptimizeOptions opts;
-  opts.time_limit_s = 0.05;
-  opts.warm_start = sa.allocation;
-  const OptimizeResult res = optimize(p, Objective::ring_trt(0), opts);
-  EXPECT_EQ(res.status, OptimizeResult::Status::kBudgetExhausted);
-  ASSERT_TRUE(res.has_allocation);  // the SA seed is the anytime answer
-  EXPECT_EQ(res.cost, sa.cost);
+  for (const bool incremental : {true, false}) {
+    OptimizeOptions opts;
+    opts.incremental = incremental;
+    opts.time_limit_s = 0.05;
+    opts.warm_start = sa.allocation;
+    const OptimizeResult res = optimize(p, Objective::ring_trt(0), opts);
+    EXPECT_EQ(res.status, OptimizeResult::Status::kBudgetExhausted)
+        << "incremental=" << incremental;
+    // The SA seed is the anytime answer.
+    ASSERT_TRUE(res.has_allocation) << "incremental=" << incremental;
+    EXPECT_EQ(res.cost, sa.cost) << "incremental=" << incremental;
+  }
 }
 
 TEST(ObjectiveApi, DescribeStrings) {
@@ -269,6 +405,21 @@ TEST(ObjectiveApi, DescribeStrings) {
   EXPECT_EQ(Objective::can_load(0).describe(), "min U_CAN(medium 0)");
   EXPECT_EQ(Objective::max_utilization().describe(),
             "min max per-ECU utilization");
+}
+
+TEST(ObjectiveApi, ValidateObjectiveChecksTheMedium) {
+  Problem p;
+  p.tasks.tasks.push_back(make_task("A", 100, 100, {10}));
+  p.arch.num_ecus = 1;
+  p.arch.media = {make_ring({0})};
+  EXPECT_FALSE(validate_objective(p, Objective::ring_trt(0)));
+  EXPECT_FALSE(validate_objective(p, Objective::sum_trt()));
+  EXPECT_FALSE(validate_objective(p, Objective::feasibility()));
+  EXPECT_FALSE(validate_objective(p, Objective::max_utilization()));
+  EXPECT_TRUE(validate_objective(p, Objective::ring_trt(99)));
+  EXPECT_TRUE(validate_objective(p, Objective::ring_trt(-1)));
+  EXPECT_TRUE(validate_objective(p, Objective::can_load(0)));  // a ring
+  EXPECT_TRUE(validate_objective(p, Objective::can_load(1)));
 }
 
 TEST(ObjectiveApi, InvalidMediumThrows) {

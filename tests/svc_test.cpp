@@ -843,6 +843,33 @@ TEST(Server, UnknownVerbRepliesWithStructuredCode) {
   EXPECT_EQ(incomplete->get_string("code"), "bad_request");
 }
 
+TEST(Server, ObjectiveOnAMissingMediumIsRefused) {
+  ServerOptions options;
+  options.scheduler = quick_options(1);
+  Server server(options);
+  for (const char* objective : {"trt:99", "trt:-1", "can-load:0"}) {
+    const auto submitted = obs::json_parse(
+        server.handle_line(submit_line(kSystem, objective, true)));
+    ASSERT_TRUE(submitted.has_value()) << objective;
+    EXPECT_FALSE(submitted->get("ok")->b) << objective;
+    EXPECT_EQ(submitted->get_string("code"), "bad_objective") << objective;
+    const auto opened = obs::json_parse(server.handle_line(
+        obs::JsonObject()
+            .str("verb", "session_open")
+            .str("problem", kSystem)
+            .str("objective", objective)
+            .build()));
+    ASSERT_TRUE(opened.has_value()) << objective;
+    EXPECT_FALSE(opened->get("ok")->b) << objective;
+    EXPECT_EQ(opened->get_string("code"), "bad_objective") << objective;
+  }
+  // The service keeps answering valid requests.
+  const auto good = obs::json_parse(
+      server.handle_line(submit_line(kSystem, "trt:0", true)));
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->get_string("status"), "optimal");
+}
+
 TEST(Server, SessionVerbsLifecycle) {
   ServerOptions options;
   options.scheduler = quick_options(1);
