@@ -19,15 +19,19 @@ using namespace optalloc;
 
 namespace {
 
+/// The SA warm start that every variant except "no warm start" gets.
+void add_warm_start(const alloc::Problem& p, alloc::Objective obj,
+                    alloc::OptimizeOptions& opts) {
+  heur::AnnealingOptions sa_opts;
+  sa_opts.iterations = bench::sa_iterations();
+  const auto sa = heur::anneal(p, obj, sa_opts);
+  if (sa.feasible) opts.warm_start = sa.allocation;
+}
+
 void run_variant(bench::JsonReport& json, const char* name,
                  const alloc::Problem& p, alloc::Objective obj,
                  alloc::OptimizeOptions opts, bool warm_start) {
-  if (warm_start) {
-    heur::AnnealingOptions sa_opts;
-    sa_opts.iterations = bench::sa_iterations();
-    const auto sa = heur::anneal(p, obj, sa_opts);
-    if (sa.feasible) opts.warm_start = sa.allocation;
-  }
+  if (warm_start) add_warm_start(p, obj, opts);
   opts.time_limit_s = bench::budget_seconds();
   const auto res = alloc::optimize(p, obj, opts);
   json.add_result(name, res);
@@ -76,11 +80,13 @@ int main() {
 
   run_variant(json, "no warm start", p, obj, base, false);
 
-  // Parallel portfolio (bisection + descending + PB racing on threads).
+  // Parallel portfolio (bisection + descending + PB racing on threads),
+  // warm-started like the single solves it is compared with.
   {
-    Stopwatch sw;
     alloc::PortfolioOptions popts;
+    add_warm_start(p, obj, popts.base_config);
     popts.time_limit_s = bench::budget_seconds();
+    Stopwatch sw;
     const auto res = alloc::optimize_portfolio(p, obj, popts);
     json.add_result("portfolio (3 threads)", res.best);
     std::printf("%-28s %-22s %-10s winner=%d\n", "portfolio (3 threads)",

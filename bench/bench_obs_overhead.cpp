@@ -6,19 +6,18 @@
 //   flight     flight recorder on, everything else off — the production
 //              default (the recorder is always-on); the gate below keys
 //              on this config
-//   resource   resource accounting on, everything else off (arena /
-//              learnts gauges synced on GC and solve exit)
 //   hist       tracing off, histograms on (bucket index + two relaxed
 //              atomic adds per observation)
 //   trace      tracing on (to a file), histograms off
-//   all        everything on (trace + histograms + flight + resources)
+//   all        everything on (trace + histograms + flight)
 // — and writes BENCH_obs_overhead.json with per-config wall times and
 // the overhead ratio of each config against "off". Acceptance gates:
 // tracing-off overhead must stay within noise (a few percent) of the
 // untelemetered baseline, because production services run that way; the
 // flight recorder (on, trace off) must cost <= 5% — it is the always-on
-// post-mortem path and may not tax the solver; and resource accounting
-// (also always-on in the service) gets the same 5% budget.
+// post-mortem path and may not tax the solver. Counters and resource
+// levels have no switch and are on in every config: they are relaxed
+// adds into per-thread shards, part of the baseline.
 //
 // Environment knobs:
 //   OPTALLOC_OBS_BENCH_REPEATS  optimize() runs per config (default 5)
@@ -33,7 +32,6 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/generator.hpp"
@@ -54,7 +52,6 @@ struct Config {
   bool trace;
   bool histograms;
   bool flight;
-  bool resource;
 };
 
 /// One timed pass: `reps` full optimize() runs over the same instance.
@@ -62,7 +59,6 @@ double run_config(const alloc::Problem& problem, const Config& cfg,
                   int reps, const std::string& trace_path) {
   obs::set_histograms(cfg.histograms);
   obs::set_flight(cfg.flight);
-  obs::set_resources(cfg.resource);
   if (cfg.trace) {
     if (!obs::trace_open(trace_path)) {
       std::fprintf(stderr, "cannot open %s\n", trace_path.c_str());
@@ -84,7 +80,6 @@ double run_config(const alloc::Problem& problem, const Config& cfg,
   if (cfg.trace) obs::trace_close();
   obs::set_histograms(true);
   obs::set_flight(true);
-  obs::set_resources(true);
   return secs;
 }
 
@@ -98,12 +93,11 @@ int main() {
   const int reps = repeats();
 
   const Config configs[] = {
-      {"off", false, false, false, false},
-      {"flight", false, false, true, false},
-      {"resource", false, false, false, true},
-      {"hist", false, true, false, false},
-      {"trace", true, false, false, false},
-      {"all", true, true, true, true},
+      {"off", false, false, false},
+      {"flight", false, false, true},
+      {"hist", false, true, false},
+      {"trace", true, false, false},
+      {"all", true, true, true},
   };
 
   std::printf("observability overhead: %d optimize() runs per config\n",
@@ -117,34 +111,27 @@ int main() {
   obs::JsonArray rows;
   double baseline = 0.0;
   double flight_ratio = 1.0;
-  double resource_ratio = 1.0;
   for (const Config& cfg : configs) {
     const double secs =
         run_config(problem, cfg, reps, "BENCH_obs_overhead_trace.jsonl");
     if (baseline == 0.0) baseline = secs;
     const double ratio = baseline > 0.0 ? secs / baseline : 1.0;
     if (std::string(cfg.name) == "flight") flight_ratio = ratio;
-    if (std::string(cfg.name) == "resource") resource_ratio = ratio;
     std::printf("%-12s %10.3f %9.3fx\n", cfg.name, secs, ratio);
     rows.push(obs::JsonObject()
                   .str("config", cfg.name)
                   .boolean("trace", cfg.trace)
                   .boolean("histograms", cfg.histograms)
                   .boolean("flight", cfg.flight)
-                  .boolean("resource", cfg.resource)
                   .num("seconds", secs)
                   .num("seconds_per_run", secs / reps)
                   .num("overhead_ratio", ratio)
                   .build());
   }
-  // The flight recorder and resource accounting are always-on in
-  // production; each gets a 5% budget.
+  // The flight recorder is always-on in production: 5% budget.
   const bool flight_ok = flight_ratio <= 1.05;
   std::printf("flight-recorder overhead: %.1f%% (budget 5%%) -> %s\n",
               (flight_ratio - 1.0) * 100.0, flight_ok ? "OK" : "OVER");
-  const bool resource_ok = resource_ratio <= 1.05;
-  std::printf("resource-accounting overhead: %.1f%% (budget 5%%) -> %s\n",
-              (resource_ratio - 1.0) * 100.0, resource_ok ? "OK" : "OVER");
 
   const std::string path = "BENCH_obs_overhead.json";
   std::ofstream out(path, std::ios::trunc);
@@ -159,8 +146,6 @@ int main() {
              .num("ecus", static_cast<std::int64_t>(gen.num_ecus))
              .num("flight_overhead_ratio", flight_ratio)
              .boolean("flight_overhead_ok", flight_ok)
-             .num("resource_overhead_ratio", resource_ratio)
-             .boolean("resource_overhead_ok", resource_ok)
              .raw("configs", rows.build())
              .build()
       << '\n';

@@ -264,20 +264,6 @@ std::string flight_dump_events(std::uint64_t req, std::size_t* count) {
   return out;
 }
 
-std::string flight_dump_jsonl(std::uint64_t req) {
-  const std::vector<Rec> recs = collect(req);
-  const std::uint64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);
-  std::string out;
-  char line[kLineCap];
-  for (const Rec& rec : recs) {
-    Buf b{line, sizeof line};
-    render(b, rec, epoch);
-    out.append(line, b.n);
-    out += '\n';
-  }
-  return out;
-}
-
 std::size_t flight_dump_fd(int fd) {
   const std::uint64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);
   const std::size_t rings =

@@ -4,8 +4,9 @@
 // when the JSONL trace sink is closed. The rings are the post-mortem
 // story of a request: when a deadline expires, a job is cancelled, the
 // daemon takes a fatal signal, or a client issues the `dump` verb, the
-// rings are merged and rendered as schema-valid JSONL (one event object
-// per line, same "type"/"ts"/"tid"/"req" vocabulary as the trace sink).
+// rings are merged and rendered as schema-valid event objects (a JSON
+// array, or JSONL from the signal-safe dump; same "type"/"ts"/"tid"/"req"
+// vocabulary as the trace sink).
 //
 // Design constraints, in order:
 //   1. Recording must be cheap enough to leave on in production: one
@@ -105,9 +106,6 @@ class FlightNote {
 /// plus the numeric fields. Not signal-safe (allocates the string).
 std::string flight_dump_events(std::uint64_t req = 0,
                                std::size_t* count = nullptr);
-
-/// Same records, one JSON object per line (JSONL). Not signal-safe.
-std::string flight_dump_jsonl(std::uint64_t req = 0);
 
 /// Async-signal-safe dump: writes the JSONL form of every ring to `fd`
 /// using only write(2) and local integer formatting. Torn records

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "obs/resource.hpp"
 #include "util/mutex.hpp"
 
 namespace optalloc::obs {
@@ -25,8 +26,9 @@ constexpr std::size_t kMaxMetrics = 1024;
 constexpr std::size_t kMaxHistograms = 64;
 
 struct Shard {
-  // Counter sums / timer invocation counts, indexed by metric id. Only the
-  // owning thread writes; snapshot() reads concurrently (relaxed).
+  // Counter sums / level deltas / timer invocation counts, indexed by
+  // metric id. Only the owning thread writes; snapshot() reads
+  // concurrently (relaxed).
   std::atomic<std::int64_t> value[kMaxMetrics] = {};
   // Timer nanoseconds.
   std::atomic<std::uint64_t> ns[kMaxMetrics] = {};
@@ -49,7 +51,8 @@ struct Registry {
   std::map<std::string, std::uint32_t, std::less<>> by_name
       OPTALLOC_GUARDED_BY(mutex);
   std::vector<Shard*> live OPTALLOC_GUARDED_BY(mutex);
-  // Totals folded in from exited threads.
+  // Totals folded in from exited threads. For a level this also holds the
+  // balancing delta a thread wrote for an owner that outlives it.
   std::int64_t retired_value[kMaxMetrics] OPTALLOC_GUARDED_BY(mutex) = {};
   std::uint64_t retired_ns[kMaxMetrics] OPTALLOC_GUARDED_BY(mutex) = {};
   // Gauges are process-wide levels, not per-thread accumulations
@@ -153,6 +156,20 @@ Metric timer(std::string_view name) {
 }
 Metric histogram(std::string_view name) {
   return register_metric(name, MetricKind::kHistogram);
+}
+
+// A resource's two levels are named "res.<name>.bytes" and
+// "res.<name>.items"; resource() and resource_snapshot() are the only
+// code that knows it.
+constexpr std::string_view kResPrefix = "res.";
+constexpr std::string_view kResBytes = ".bytes";
+constexpr std::string_view kResItems = ".items";
+
+Resource resource(std::string_view name) {
+  const std::string prefix = std::string(kResPrefix) + std::string(name);
+  return {
+      register_metric(prefix + std::string(kResBytes), MetricKind::kLevel),
+      register_metric(prefix + std::string(kResItems), MetricKind::kLevel)};
 }
 
 int histogram_bucket_index(double value) {
@@ -339,10 +356,30 @@ std::vector<MetricValue> snapshot() {
   return out;
 }
 
+std::vector<ResourceValue> resource_snapshot() {
+  std::map<std::string, ResourceValue, std::less<>> by_name;
+  for (const MetricValue& v : snapshot()) {
+    if (v.kind != MetricKind::kLevel) continue;
+    std::string_view name = v.name;
+    const bool bytes =
+        name.substr(name.size() - kResBytes.size()) == kResBytes;
+    name.remove_prefix(kResPrefix.size());
+    name.remove_suffix(bytes ? kResBytes.size() : kResItems.size());
+    ResourceValue& r = by_name[std::string(name)];
+    r.name = name;
+    (bytes ? r.bytes : r.items) = v.value;
+  }
+  std::vector<ResourceValue> out;
+  out.reserve(by_name.size());
+  for (auto& [name, r] : by_name) out.push_back(std::move(r));
+  return out;
+}
+
 void reset_metrics() {
   Registry& r = registry();
   util::MutexLock lock(r.mutex);
   for (std::size_t i = 0; i < kMaxMetrics; ++i) {
+    if (i < r.kinds.size() && r.kinds[i] == MetricKind::kLevel) continue;
     r.retired_value[i] = 0;
     r.retired_ns[i] = 0;
     r.gauges[i].store(0, std::memory_order_relaxed);
@@ -365,6 +402,17 @@ void reset_metrics() {
   }
 }
 
+namespace {
+
+/// Name of a kind whose whole state is the integer `value`.
+const char* scalar_kind_name(MetricKind kind) {
+  return kind == MetricKind::kCounter ? "counter"
+         : kind == MetricKind::kGauge ? "gauge"
+                                      : "level";
+}
+
+}  // namespace
+
 std::string render_metrics(bool include_zero) {
   std::string out;
   char buf[192];
@@ -372,11 +420,10 @@ std::string render_metrics(bool include_zero) {
     if (!include_zero && v.value == 0 && v.seconds == 0.0) continue;
     switch (v.kind) {
       case MetricKind::kCounter:
-        std::snprintf(buf, sizeof buf, "%-40s counter %lld\n", v.name.c_str(),
-                      static_cast<long long>(v.value));
-        break;
       case MetricKind::kGauge:
-        std::snprintf(buf, sizeof buf, "%-40s gauge   %lld\n", v.name.c_str(),
+      case MetricKind::kLevel:
+        std::snprintf(buf, sizeof buf, "%-40s %-7s %lld\n", v.name.c_str(),
+                      scalar_kind_name(v.kind),
                       static_cast<long long>(v.value));
         break;
       case MetricKind::kTimer:
@@ -398,39 +445,15 @@ std::string render_metrics(bool include_zero) {
   return out;
 }
 
-std::string metrics_json() {
-  JsonObject obj;
-  for (const MetricValue& v : snapshot()) {
-    if (v.kind == MetricKind::kTimer) {
-      obj.raw(v.name, JsonObject()
-                          .num("seconds", v.seconds)
-                          .num("count", v.value)
-                          .build());
-    } else if (v.kind == MetricKind::kHistogram) {
-      obj.raw(v.name, JsonObject()
-                          .num("count", v.value)
-                          .num("sum", v.sum)
-                          .num("p50", histogram_quantile(v.buckets, 0.50))
-                          .num("p95", histogram_quantile(v.buckets, 0.95))
-                          .num("p99", histogram_quantile(v.buckets, 0.99))
-                          .build());
-    } else {
-      obj.num(v.name, v.value);
-    }
-  }
-  return obj.build();
-}
-
 std::string metrics_full_json() {
   JsonObject obj;
   for (const MetricValue& v : snapshot()) {
     JsonObject entry;
     switch (v.kind) {
       case MetricKind::kCounter:
-        entry.str("kind", "counter").num("value", v.value);
-        break;
       case MetricKind::kGauge:
-        entry.str("kind", "gauge").num("value", v.value);
+      case MetricKind::kLevel:
+        entry.str("kind", scalar_kind_name(v.kind)).num("value", v.value);
         break;
       case MetricKind::kTimer:
         entry.str("kind", "timer")
@@ -482,13 +505,11 @@ std::string prometheus_from_snapshot(const std::vector<MetricValue>& snap) {
     const std::string n = prom_name(v.name);
     switch (v.kind) {
       case MetricKind::kCounter:
-        std::snprintf(buf, sizeof buf, "# TYPE %s counter\n%s %lld\n",
-                      n.c_str(), n.c_str(), static_cast<long long>(v.value));
-        out += buf;
-        break;
       case MetricKind::kGauge:
-        std::snprintf(buf, sizeof buf, "# TYPE %s gauge\n%s %lld\n",
-                      n.c_str(), n.c_str(), static_cast<long long>(v.value));
+      case MetricKind::kLevel:  // a level goes up and down: a gauge
+        std::snprintf(buf, sizeof buf, "# TYPE %s %s\n%s %lld\n", n.c_str(),
+                      v.kind == MetricKind::kCounter ? "counter" : "gauge",
+                      n.c_str(), static_cast<long long>(v.value));
         out += buf;
         break;
       case MetricKind::kTimer:
@@ -542,8 +563,10 @@ std::vector<MetricValue> metrics_from_json(const JsonValue& doc) {
     if (!kind) continue;
     MetricValue v;
     v.name = name;
-    if (*kind == "counter" || *kind == "gauge") {
-      v.kind = *kind == "counter" ? MetricKind::kCounter : MetricKind::kGauge;
+    if (*kind == "counter" || *kind == "gauge" || *kind == "level") {
+      v.kind = *kind == "counter" ? MetricKind::kCounter
+               : *kind == "gauge" ? MetricKind::kGauge
+                                  : MetricKind::kLevel;
       const auto value = entry.get_number("value");
       if (!value) continue;
       v.value = static_cast<std::int64_t>(*value);

@@ -11,9 +11,13 @@
 //   * snapshot() takes the registry mutex, sums all live shards plus the
 //     totals folded in from exited threads.
 //
-// Four kinds:
+// Five kinds:
 //   counter   — monotonically accumulated integer (merge = sum)
 //   gauge     — last-write-wins integer level (stored globally, not sharded)
+//   level     — signed integer level kept as per-thread deltas (merge = sum,
+//               like counters); made only by obs::resource() (resource.hpp),
+//               whose owners subtract what they added, so reset_metrics()
+//               leaves levels alone
 //   timer     — accumulated wall seconds + invocation count (merge = sum)
 //   histogram — log-linear (HDR-style) distribution of positive doubles:
 //               each power-of-two octave is split into kHistSubBuckets
@@ -35,7 +39,13 @@
 
 namespace optalloc::obs {
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kTimer, kHistogram };
+enum class MetricKind : std::uint8_t {
+  kCounter,
+  kGauge,
+  kTimer,
+  kHistogram,
+  kLevel
+};
 
 /// Cheap copyable handle; obtain via counter()/gauge()/timer().
 struct Metric {
@@ -50,7 +60,7 @@ Metric gauge(std::string_view name);
 Metric timer(std::string_view name);
 Metric histogram(std::string_view name);
 
-/// Counter: accumulate `delta` into the calling thread's shard.
+/// Counter or level: accumulate `delta` into the calling thread's shard.
 void add(Metric m, std::int64_t delta = 1);
 
 /// Gauge: set the process-wide level.
@@ -136,7 +146,7 @@ std::uint64_t monotonic_ns();
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  std::int64_t value = 0;    ///< counter sum / gauge level / timer or histogram count
+  std::int64_t value = 0;    ///< counter/level sum, gauge, timer/hist count
   double seconds = 0.0;      ///< timers only: accumulated wall time
   double sum = 0.0;          ///< histograms only: sum of observed values
   std::vector<HistBucket> buckets;  ///< histograms only: non-empty buckets
@@ -146,26 +156,25 @@ struct MetricValue {
 std::vector<MetricValue> snapshot();
 
 /// Zero all shards, retired totals and gauges (registrations persist).
+/// Levels keep their values: their owners still hold what they added.
 void reset_metrics();
 
 /// "name kind value [seconds]" per line; omits zero entries unless
 /// `include_zero`.
 std::string render_metrics(bool include_zero = false);
 
-/// One flat JSON object: counters/gauges as numbers, timers as
-/// {"seconds": s, "count": n}.
-std::string metrics_json();
-
 /// Full typed snapshot as one JSON object, suitable for the wire:
-/// {"name":{"kind":"counter","value":n}, ...}; histograms carry count,
+/// {"name":{"kind":"counter","value":n}, ...} (gauges and levels alike,
+/// with their own "kind"); timers carry count and seconds, histograms count,
 /// sum, p50/p95/p99 and the non-empty buckets as [lo, hi, count] triples.
 /// Decoded losslessly by metrics_from_json (modulo bucket quantization,
 /// which already happened at observe time).
 std::string metrics_full_json();
 
-/// Prometheus text exposition format for a snapshot: counters and gauges
-/// verbatim, timers as <name>_sum/<name>_count, histograms as cumulative
-/// <name>_bucket{le="..."} series plus <name>_p50/_p95/_p99 gauges.
+/// Prometheus text exposition format for a snapshot: counters verbatim,
+/// gauges and levels as gauges, timers as <name>_sum/<name>_count,
+/// histograms as cumulative <name>_bucket{le="..."} series plus
+/// <name>_p50/_p95/_p99 gauges.
 /// Metric names are sanitized (non-[a-zA-Z0-9_:] become '_').
 std::string prometheus_from_snapshot(const std::vector<MetricValue>& snap);
 

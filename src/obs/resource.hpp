@@ -5,13 +5,14 @@
 // clause pools, the scheduler queue — reports its live footprint here as
 // a (bytes, items) pair per named resource.
 //
-// The write path mirrors the metrics registry: registration (name ->
-// dense id) happens once per call site under a mutex, deltas go to the
-// calling thread's shard as relaxed atomic adds, and resource_snapshot()
-// merges live shards plus totals folded in from exited threads. Unlike
-// counters, deltas are *signed* both ways (allocation and release), so a
-// resource's merged value is a level, not a monotone sum — each owner is
-// responsible for subtracting what it added before it dies.
+// A resource is stored in the metrics registry as two signed `level`
+// metrics, `res.<name>.bytes` and `res.<name>.items` (metrics.hpp): deltas
+// go to the calling thread's shard like counter adds, snapshot() merges
+// them, and they appear wherever the registry does (the `metrics` verb,
+// Prometheus text, render_metrics, the time-series rings). The deltas are
+// *signed* both ways (allocation and release), so the merged value is a
+// level, not a monotone sum; each owner is responsible for subtracting
+// what it added before it dies.
 //
 // Two instrumentation styles:
 //   * Concurrent containers (cache shards, clause pools, the queue) call
@@ -34,26 +35,24 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace optalloc::obs {
 
-/// Cheap copyable handle; obtain via resource().
+/// Cheap copyable handle (the two level metrics); obtain via resource().
 struct Resource {
-  std::uint32_t id = 0;
+  Metric bytes;
+  Metric items;
 };
 
 /// Register (or look up) a resource by name. Names share the style of
 /// metric names ("sat.arena", "svc.cache"); repeated registration returns
-/// the same handle.
+/// the same handle. This is the only way to make a level metric.
 Resource resource(std::string_view name);
 
-/// Accumulate signed deltas into the calling thread's shard. No-op while
-/// resources are disabled (see set_resources), like histogram observe().
+/// Accumulate signed deltas into the calling thread's shard (zero deltas
+/// are skipped).
 void res_add(Resource r, std::int64_t bytes_delta, std::int64_t items_delta);
-
-/// Global gate for resource accounting (default on); exists so
-/// bench_obs_overhead can price the disabled path.
-void set_resources(bool on);
-bool resources_enabled();
 
 struct ResourceValue {
   std::string name;
@@ -61,12 +60,8 @@ struct ResourceValue {
   std::int64_t items = 0;
 };
 
-/// Merge-on-read view of every registered resource, sorted by name.
+/// Every registered resource, read from snapshot() and sorted by name.
 std::vector<ResourceValue> resource_snapshot();
-
-/// Zero all shards and retired totals (registrations and watermark
-/// configuration persist).
-void reset_resources();
 
 /// Absolute-usage reporter for single-owner objects. set() publishes the
 /// delta against the previous set(); the destructor retracts everything,

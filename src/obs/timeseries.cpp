@@ -5,7 +5,6 @@
 #include <map>
 
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "util/mutex.hpp"
 
 namespace optalloc::obs {
@@ -65,14 +64,15 @@ void timeseries_record(std::string_view name, std::int64_t unix_ms,
 }
 
 void timeseries_sample_now() {
-  // Build the (name, value) rows outside the store lock: snapshot() and
-  // resource_snapshot() take their own registry mutexes.
+  // Build the (name, value) rows outside the store lock: snapshot() takes
+  // the registry mutex.
   const std::int64_t now = wall_unix_ms();
   std::vector<std::pair<std::string, double>> rows;
   for (const MetricValue& v : snapshot()) {
     switch (v.kind) {
       case MetricKind::kCounter:
       case MetricKind::kGauge:
+      case MetricKind::kLevel:
         rows.emplace_back(v.name, static_cast<double>(v.value));
         break;
       case MetricKind::kTimer:
@@ -89,12 +89,6 @@ void timeseries_sample_now() {
                           histogram_quantile(v.buckets, 0.99));
         break;
     }
-  }
-  for (const ResourceValue& v : resource_snapshot()) {
-    rows.emplace_back("res." + v.name + ".bytes",
-                      static_cast<double>(v.bytes));
-    rows.emplace_back("res." + v.name + ".items",
-                      static_cast<double>(v.items));
   }
   Store& s = store();
   util::MutexLock lock(s.mutex);

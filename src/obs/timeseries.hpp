@@ -1,7 +1,7 @@
 #pragma once
-// Fixed-footprint in-process history for every metric and resource: a
-// 256-sample ring buffer per series, fed by the daemon's metrics-interval
-// sampler and served over the wire by the `query` verb. This is the
+// Fixed-footprint in-process history for every metric: a 256-sample ring
+// buffer per series, fed by the daemon's metrics-interval sampler and
+// served over the wire by the `query` verb. This is the
 // capacity-planning view the point-in-time `metrics` snapshot cannot
 // give: occupancy *over time* (is the cache still warming or already
 // cycling?), latency quantiles as a series (did p99 move when the queue
@@ -9,10 +9,11 @@
 // gate on.
 //
 // Series are derived on each timeseries_sample_now() call:
-//   counter/gauge  -> "<name>"                (value as double)
-//   timer          -> "<name>.count" / "<name>.seconds"
-//   histogram      -> "<name>.count" / "<name>.p50" / ".p95" / ".p99"
-//   resource       -> "res.<name>.bytes" / "res.<name>.items"
+//   counter/gauge/level -> "<name>"      (value as double; a resource's
+//                                          levels are "res.<name>.bytes"
+//                                          and "res.<name>.items")
+//   timer               -> "<name>.count" / "<name>.seconds"
+//   histogram           -> "<name>.count" / "<name>.p50" / ".p95" / ".p99"
 //
 // A registered series exists from the first sample even while its value
 // is still zero, so consumers can subscribe before traffic arrives. All
@@ -43,8 +44,8 @@ std::int64_t wall_unix_ms();
 void timeseries_record(std::string_view name, std::int64_t unix_ms,
                        double value);
 
-/// Sample every registered metric (per the derivation above) and every
-/// resource into the rings, all stamped with one wall-clock read.
+/// Sample every registered metric (per the derivation above) into the
+/// rings, all stamped with one wall-clock read.
 void timeseries_sample_now();
 
 struct SeriesInfo {

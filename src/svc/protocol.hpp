@@ -49,8 +49,9 @@
 // {"ok":false,"error":m,"code":c} where `code` is a stable machine-
 // readable discriminator ("bad_json", "bad_request", "unknown_verb",
 // "unknown_id", "bad_problem", "bad_objective", "queue_full",
-// "unknown_session", "bad_patch") — clients branch on it
-// without parsing prose. Unknown verbs in particular are answered (with
+// "unknown_session", "bad_patch", "request_too_large") — clients branch
+// on it without parsing prose. "request_too_large" answers a line over
+// kMaxRequestBytes (server.hpp); the server then closes that connection. Unknown verbs in particular are answered (with
 // code "unknown_verb"), never silently dropped.
 // The problem text is the alloc::io file format embedded as one JSON
 // string (newlines escaped); the objective uses alloc::parse_objective

@@ -150,6 +150,10 @@ void Server::run() {
 }
 
 void Server::serve_connection(int fd) {
+  static const std::string too_large =
+      error_line("request line longer than " +
+                     std::to_string(kMaxRequestBytes) + " bytes",
+                 "request_too_large");
   std::string buffer;
   char chunk[4096];
   for (;;) {
@@ -166,19 +170,30 @@ void Server::serve_connection(int fd) {
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;  // EOF or error
+    // Bytes before `scanned` hold no newline: only the new chunk is searched.
+    const std::size_t scanned = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
+    std::size_t start = 0;  // first byte of the current line
     bool closed = false;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (line.empty()) continue;
-      if (!send_all(fd, handle_line(line) + "\n")) {
+    for (std::size_t nl = buffer.find('\n', scanned);
+         nl != std::string::npos; nl = buffer.find('\n', start)) {
+      const std::size_t begin = start;
+      start = nl + 1;
+      if (nl == begin) continue;  // empty line
+      const bool too_long = nl - begin > kMaxRequestBytes;
+      const std::string reply =
+          too_long ? too_large : handle_line(buffer.substr(begin, nl - begin));
+      if (!send_all(fd, reply + "\n") || too_long) {
         closed = true;
         break;
       }
     }
     if (closed) break;
+    buffer.erase(0, start);
+    if (buffer.size() > kMaxRequestBytes) {
+      send_all(fd, too_large + "\n");
+      break;
+    }
   }
   ::close(fd);
 }

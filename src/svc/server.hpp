@@ -11,6 +11,7 @@
 // responses before the sockets close.
 
 #include <atomic>
+#include <cstddef>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,12 @@
 #include "svc/scheduler.hpp"
 
 namespace optalloc::svc {
+
+/// Longest request line a connection may send (the shipped problems are
+/// around 1 KiB). A longer one is answered with code "request_too_large"
+/// and its connection closed, so no client can grow a handler's buffer
+/// without bound.
+constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
 
 struct ServerOptions {
   SchedulerOptions scheduler;

@@ -154,9 +154,12 @@ TEST(Metrics, GaugeAndTimerSemantics) {
     EXPECT_DOUBLE_EQ(m.seconds, 0.75);
   }
 
-  const auto doc = obs::json_parse(obs::metrics_json());
+  const auto doc = obs::json_parse(obs::metrics_full_json());
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->get_number("test.gauge"), 3.0);
+  const obs::JsonValue* gauge = doc->get("test.gauge");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->get_string("kind"), "gauge");
+  EXPECT_EQ(gauge->get_number("value"), 3.0);
   const obs::JsonValue* timer = doc->get("test.timer");
   ASSERT_NE(timer, nullptr);
   EXPECT_EQ(timer->get_number("count"), 2.0);
@@ -260,6 +263,7 @@ TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
   obs::record(obs::timer("test.rt.timer"), 0.5);
   const obs::Metric h = obs::histogram("test.rt.hist");
   for (int i = 1; i <= 100; ++i) obs::observe(h, static_cast<double>(i));
+  obs::res_add(obs::resource("test.rt.res"), 4096, -1);  // signed levels
 
   // Wire round-trip: the typed JSON document decodes back into the exact
   // snapshot (bucket quantization already happened at observe time).
@@ -268,7 +272,12 @@ TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
   const auto decoded = obs::metrics_from_json(*doc);
   const auto snap = obs::snapshot();
   ASSERT_EQ(decoded.size(), snap.size());
+  bool level_seen = false;
   for (std::size_t i = 0; i < snap.size(); ++i) {
+    if (snap[i].name == "res.test.rt.res.bytes") {
+      level_seen = true;
+      EXPECT_EQ(decoded[i].kind, obs::MetricKind::kLevel);
+    }
     EXPECT_EQ(decoded[i].name, snap[i].name);
     EXPECT_EQ(decoded[i].kind, snap[i].kind);
     EXPECT_EQ(decoded[i].value, snap[i].value);
@@ -278,6 +287,7 @@ TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
       EXPECT_DOUBLE_EQ(decoded[i].buckets[b].hi, snap[i].buckets[b].hi);
     }
   }
+  EXPECT_TRUE(level_seen);
 
   // The decoded snapshot renders through the same Prometheus writer the
   // server uses locally: names sanitized, cumulative buckets, quantiles.
@@ -285,6 +295,12 @@ TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
   EXPECT_NE(prom.find("# TYPE test_rt_count counter"), std::string::npos);
   EXPECT_NE(prom.find("test_rt_count 3"), std::string::npos);
   EXPECT_NE(prom.find("test_rt_gauge -2"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE res_test_rt_res_bytes gauge\n"
+                      "res_test_rt_res_bytes 4096"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE res_test_rt_res_items gauge\n"
+                      "res_test_rt_res_items -1"),
+            std::string::npos);
   EXPECT_NE(prom.find("test_rt_timer_count 1"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE test_rt_hist histogram"), std::string::npos);
   EXPECT_NE(prom.find("test_rt_hist_bucket{le=\"+Inf\"} 100"),
@@ -641,14 +657,10 @@ TEST(Flight, SignalSafeFdDumpMatchesAllocatingDump) {
   }
   EXPECT_EQ(fmt_probes, 1);
 
-  // The allocating JSONL form sees the same record set.
-  int jsonl_lines = 0;
-  std::istringstream jsonl(obs::flight_dump_jsonl());
-  while (std::getline(jsonl, line)) {
-    EXPECT_TRUE(obs::json_parse(line).has_value()) << line;
-    ++jsonl_lines;
-  }
-  EXPECT_EQ(jsonl_lines, total);
+  // The allocating dump sees the same record set.
+  std::size_t events = 0;
+  obs::flight_dump_events(0, &events);
+  EXPECT_EQ(events, static_cast<std::size_t>(total));
 }
 
 TEST(Flight, DumpWhileWritingNeverYieldsTornRecords) {
@@ -750,7 +762,6 @@ obs::ResourceValue res_lookup(const char* name) {
 }
 
 TEST(ResourceRegistry, DeltasMergeAcrossThreads) {
-  obs::reset_resources();
   const obs::Resource r = obs::resource("test.res.merge");
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
@@ -772,7 +783,6 @@ TEST(ResourceRegistry, DeltasMergeAcrossThreads) {
 }
 
 TEST(ResourceRegistry, TrackerDiffsAndRetractsOnDestruction) {
-  obs::reset_resources();
   {
     obs::ResourceTracker tracker(obs::resource("test.res.tracker"));
     tracker.set(1000, 5);
@@ -783,25 +793,23 @@ TEST(ResourceRegistry, TrackerDiffsAndRetractsOnDestruction) {
     v = res_lookup("test.res.tracker");
     EXPECT_EQ(v.bytes, 400);
     EXPECT_EQ(v.items, 2);
+    // A metrics reset while the tracker lives leaves its level alone, so
+    // the next set() still lands at exactly the new value.
+    obs::reset_metrics();
+    v = res_lookup("test.res.tracker");
+    EXPECT_EQ(v.bytes, 400);
+    EXPECT_EQ(v.items, 2);
+    tracker.set(700, 3);
+    v = res_lookup("test.res.tracker");
+    EXPECT_EQ(v.bytes, 700);
+    EXPECT_EQ(v.items, 3);
   }
   const auto v = res_lookup("test.res.tracker");
   EXPECT_EQ(v.bytes, 0);
   EXPECT_EQ(v.items, 0);
 }
 
-TEST(ResourceRegistry, DisabledGateDropsWrites) {
-  obs::reset_resources();
-  const obs::Resource r = obs::resource("test.res.gate");
-  obs::set_resources(false);
-  obs::res_add(r, 4096, 7);
-  obs::set_resources(true);
-  const auto v = res_lookup("test.res.gate");
-  EXPECT_EQ(v.bytes, 0);
-  EXPECT_EQ(v.items, 0);
-}
-
 TEST(ResourceRegistry, WatermarkEmitsOnCrossingWithHysteresis) {
-  obs::reset_resources();
   const obs::Resource r = obs::resource("test.res.wm");
   obs::set_resource_watermark("test.res.wm", 1000, 500);
   std::ostringstream sink;
@@ -840,7 +848,6 @@ TEST(ResourceRegistry, WatermarkEmitsOnCrossingWithHysteresis) {
 }
 
 TEST(ResourceRegistry, ConcurrentAddWhileSnapshot) {
-  obs::reset_resources();
   const obs::Resource r = obs::resource("test.res.race");
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -916,7 +923,6 @@ TEST(TimeSeries, WindowFilterDropsOldSamples) {
 
 TEST(TimeSeries, SampleNowDerivesQuantilesAndResources) {
   obs::reset_timeseries();
-  obs::reset_resources();
   const obs::Metric h = obs::histogram("test.ts.hist_ms");
   obs::observe(h, 5.0);
   obs::observe(h, 50.0);

@@ -2,13 +2,18 @@
 // (permutation invariance + allocation restoration), the sharded LRU
 // result cache, the scheduler's solve/cache/deadline/cancel semantics,
 // the NDJSON protocol, and the server's request handling end to end
-// (driven through handle_line, no sockets).
+// (driven through handle_line; one test goes over a Unix socket).
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -28,6 +33,7 @@
 #include "rt/verify.hpp"
 #include "inc/patch.hpp"
 #include "svc/cache.hpp"
+#include "svc/client.hpp"
 #include "svc/fingerprint.hpp"
 #include "svc/protocol.hpp"
 #include "svc/scheduler.hpp"
@@ -843,6 +849,54 @@ TEST(Server, UnknownVerbRepliesWithStructuredCode) {
   EXPECT_EQ(incomplete->get_string("code"), "bad_request");
 }
 
+TEST(Server, OverlongRequestLineIsRefusedOverASocket) {
+  char dir[] = "/tmp/optalloc_svc_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  const std::string path = std::string(dir) + "/alloc.sock";
+  ServerOptions options;
+  options.scheduler = quick_options(1);
+  Server server(options);
+  ASSERT_TRUE(server.listen_unix(path));
+  std::thread runner([&server] { server.run(); });
+  struct StopOnExit {  // also on a failed ASSERT: never leave run() going
+    Server& server;
+    std::thread& runner;
+    const char* dir;
+    ~StopOnExit() {
+      server.request_stop();
+      runner.join();  // run() unlinks the socket before it returns
+      ::rmdir(dir);
+    }
+  } stop_on_exit{server, runner, dir};
+
+  // One byte over the cap: refused with its code, connection closed.
+  const int big = connect_unix(path);
+  ASSERT_GE(big, 0);
+  const timeval limit{30, 0};  // a server that never answers fails the test
+  ::setsockopt(big, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+  (void)send_line(big, std::string(kMaxRequestBytes + 1, 'x'));
+  std::string buffer;
+  std::string line;
+  ASSERT_TRUE(recv_line(big, buffer, line));
+  const auto refused = obs::json_parse(line);
+  ASSERT_TRUE(refused.has_value()) << line;
+  EXPECT_FALSE(refused->get("ok")->b);
+  EXPECT_EQ(refused->get_string("code"), "request_too_large");
+  EXPECT_FALSE(recv_line(big, buffer, line));  // the server hung up
+  ::close(big);
+
+  // The server itself is still answering.
+  const int fd = connect_unix(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_line(fd, R"({"verb":"stats"})"));
+  buffer.clear();
+  ASSERT_TRUE(recv_line(fd, buffer, line));
+  const auto stats = obs::json_parse(line);
+  ASSERT_TRUE(stats.has_value()) << line;
+  EXPECT_TRUE(stats->get("ok")->b);
+  ::close(fd);
+}
+
 TEST(Server, ObjectiveOnAMissingMediumIsRefused) {
   ServerOptions options;
   options.scheduler = quick_options(1);
@@ -1071,6 +1125,16 @@ TEST(Server, MetricsVerbExposesRequestHistograms) {
     EXPECT_TRUE(inside);
   }
   EXPECT_TRUE(found);
+
+  // Resources travel in the same document as levels: the cache now holds
+  // the proven answer.
+  const auto cache =
+      std::find_if(decoded.begin(), decoded.end(), [](const auto& m) {
+        return m.name == "res.svc.cache.bytes";
+      });
+  ASSERT_NE(cache, decoded.end());
+  EXPECT_EQ(cache->kind, obs::MetricKind::kLevel);
+  EXPECT_GT(cache->value, 0);
 
   // The decoded snapshot renders to Prometheus text like a local one.
   const std::string prom = obs::prometheus_from_snapshot(decoded);

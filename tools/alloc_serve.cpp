@@ -16,7 +16,8 @@
 // thread every S seconds: each tick records the whole registry into the
 // in-process time-series rings (the `query` verb / alloc_top's data),
 // checks the armed resource watermarks, and — while tracing is on —
-// emits a "metrics_snapshot" trace event (full registry, flat form).
+// emits a "metrics_snapshot" trace event carrying the typed registry
+// object the `metrics` verb returns.
 // --watermark arms a byte threshold on a resource ("sat.arena:8388608"
 // or "svc.cache:1048576:786432"); crossings emit `resource_watermark`
 // trace events with hysteresis (LOW defaults to 3/4 of HIGH).
@@ -227,7 +228,7 @@ int main(int argc, char** argv) {
         optalloc::obs::check_resource_watermarks();
         if (optalloc::obs::trace_enabled()) {
           optalloc::obs::TraceEvent("metrics_snapshot")
-              .raw("metrics", optalloc::obs::metrics_json());
+              .raw("metrics", optalloc::obs::metrics_full_json());
         }
       }
     });
