@@ -31,6 +31,7 @@
 
 #include "alloc/io.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "util/stopwatch.hpp"
@@ -59,6 +60,14 @@ alloc::Problem permute_tasks(const alloc::Problem& p) {
     for (rt::Message& m : t.messages) m.target_task = remap(m.target_task);
   }
   return q;
+}
+
+/// Current value of a registry counter (0 before its first use).
+std::int64_t counter(const char* name) {
+  for (const obs::MetricValue& m : obs::snapshot()) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
 }
 
 double percentile(const std::vector<double>& sorted, double p) {
@@ -106,6 +115,9 @@ int main() {
   }
   std::thread server_thread([&server] { server.run(); });
 
+  // Cache counters are read from the registry, as deltas over the run.
+  const std::int64_t hits0 = counter("svc.cache.hits");
+  const std::int64_t misses0 = counter("svc.cache.misses");
   std::atomic<int> dropped{0};
   std::atomic<int> bad{0};
   std::mutex lat_mu;
@@ -153,7 +165,8 @@ int main() {
   for (std::thread& t : pool) t.join();
   const double wall_s = wall.seconds();
 
-  const svc::ServiceStats stats = server.scheduler().stats();
+  const std::int64_t hits = counter("svc.cache.hits") - hits0;
+  const std::int64_t misses = counter("svc.cache.misses") - misses0;
   server.request_stop();
   server_thread.join();
 
@@ -161,9 +174,8 @@ int main() {
   const int total = clients * per_client;
   const int answered = static_cast<int>(latencies_ms.size());
   const double hit_rate =
-      stats.cache.hits + stats.cache.misses > 0
-          ? static_cast<double>(stats.cache.hits) /
-                static_cast<double>(stats.cache.hits + stats.cache.misses)
+      hits + misses > 0
+          ? static_cast<double>(hits) / static_cast<double>(hits + misses)
           : 0.0;
   const double p50 = percentile(latencies_ms, 50.0);
   const double p95 = percentile(latencies_ms, 95.0);
@@ -172,9 +184,8 @@ int main() {
 
   std::printf("clients=%d requests=%d answered=%d dropped=%d bad=%d\n",
               clients, total, answered, dropped.load(), bad.load());
-  std::printf("cache: %llu hits / %llu misses (%.0f%% hit rate)\n",
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.cache.misses),
+  std::printf("cache: %lld hits / %lld misses (%.0f%% hit rate)\n",
+              static_cast<long long>(hits), static_cast<long long>(misses),
               hit_rate * 100.0);
   std::printf("latency ms: p50=%.1f p95=%.1f p99=%.1f max=%.1f\n", p50, p95,
               p99, pmax);
@@ -193,10 +204,8 @@ int main() {
                  .num("bad", static_cast<std::int64_t>(bad.load()))
                  .num("workers",
                       static_cast<std::int64_t>(options.scheduler.workers))
-                 .num("cache_hits",
-                      static_cast<std::int64_t>(stats.cache.hits))
-                 .num("cache_misses",
-                      static_cast<std::int64_t>(stats.cache.misses))
+                 .num("cache_hits", hits)
+                 .num("cache_misses", misses)
                  .num("cache_hit_rate", hit_rate)
                  .num("p50_ms", p50)
                  .num("p95_ms", p95)

@@ -1,6 +1,9 @@
 #include "inc/patch.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <string_view>
 
 namespace optalloc::inc {
 
@@ -70,25 +73,39 @@ std::optional<InstancePatch> parse_patch(const JsonValue& edits,
     const auto op_name = e.get_string("op");
     if (!op_name) return fail_parse(at + "missing \"op\"");
 
+    // Every numeric field is a whole number in range, checked once here;
+    // ecu and index are ints, the rest int64.
+    std::map<std::string_view, std::int64_t> nums;
+    for (const std::string_view key : {"ecu", "index", "jitter", "memory",
+                                       "wcet", "deadline", "period", "bytes"}) {
+      const JsonValue* v = e.get(key);
+      if (v == nullptr || !v->is_number()) continue;
+      const std::int64_t bound = key == "ecu" || key == "index"
+                                     ? std::numeric_limits<int>::max()
+                                     : obs::kJsonMaxInteger;
+      const auto n = obs::json_integer(*v, -bound, bound);
+      if (!n) {
+        return fail_parse(at + "\"" + std::string(key) +
+                          "\" must be an integer in [" +
+                          std::to_string(-bound) + ", " +
+                          std::to_string(bound) + "]");
+      }
+      nums[key] = *n;
+    }
+    const auto num = [&nums](std::string_view key) {
+      const auto it = nums.find(key);
+      return it == nums.end() ? std::nullopt
+                              : std::optional<std::int64_t>(it->second);
+    };
+
     PatchOp op;
     // Common addressing fields; per-op requirements checked below.
     if (const auto t = e.get_string("task")) op.task = *t;
     if (const auto t = e.get_string("target")) op.target = *t;
-    if (const auto v = e.get_number("ecu")) op.ecu = static_cast<int>(*v);
-    if (const auto v = e.get_number("index")) {
-      op.index = static_cast<int>(*v);
-    }
-    if (const auto v = e.get_number("jitter")) {
-      op.jitter = static_cast<std::int64_t>(*v);
-    }
-    if (const auto v = e.get_number("memory")) {
-      op.memory = static_cast<std::int64_t>(*v);
-    }
-    const auto num = [&e](const char* key) -> std::optional<std::int64_t> {
-      const auto v = e.get_number(key);
-      if (!v) return std::nullopt;
-      return static_cast<std::int64_t>(*v);
-    };
+    op.ecu = static_cast<int>(num("ecu").value_or(op.ecu));
+    op.index = static_cast<int>(num("index").value_or(op.index));
+    op.jitter = num("jitter").value_or(op.jitter);
+    op.memory = num("memory").value_or(op.memory);
 
     if (op.task.empty()) return fail_parse(at + "missing \"task\"");
     if (*op_name == "set_wcet") {
@@ -129,8 +146,10 @@ std::optional<InstancePatch> parse_patch(const JsonValue& edits,
       op.value = *period;
       op.value2 = *deadline;
       for (const JsonValue& w : wcet->array) {
-        if (!w.is_number()) return fail_parse(at + "non-numeric wcet entry");
-        op.wcet.push_back(static_cast<std::int64_t>(w.number));
+        const auto n =
+            obs::json_integer(w, -obs::kJsonMaxInteger, obs::kJsonMaxInteger);
+        if (!n) return fail_parse(at + "wcet entries must be integers");
+        op.wcet.push_back(*n);
       }
     } else if (*op_name == "remove_task") {
       op.kind = PatchOp::Kind::kRemoveTask;

@@ -109,6 +109,18 @@ std::optional<double> JsonValue::get_number(std::string_view k) const {
   return v->number;
 }
 
+std::optional<std::int64_t> json_integer(const JsonValue& v, std::int64_t lo,
+                                         std::int64_t hi) {
+  if (!v.is_number()) return std::nullopt;
+  const double d = v.number;
+  // Negated so NaN fails too.
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+      d != std::trunc(d)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(d);
+}
+
 namespace {
 
 class Parser {

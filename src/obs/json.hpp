@@ -72,6 +72,17 @@ struct JsonValue {
   std::optional<double> get_number(std::string_view key) const;
 };
 
+/// Largest magnitude a JSON number holds as an exact integer (2^53).
+constexpr std::int64_t kJsonMaxInteger = std::int64_t{1} << 53;
+
+/// `v` as an integer when it is a whole number within [lo, hi] (bounds at
+/// most kJsonMaxInteger in magnitude); nullopt for anything else — a
+/// non-number, a fraction, a value out of range. The one way untrusted
+/// JSON numbers become integers: casting an out-of-range double is
+/// undefined behaviour.
+std::optional<std::int64_t> json_integer(const JsonValue& v, std::int64_t lo,
+                                         std::int64_t hi);
+
 /// Parse a complete JSON document. Returns nullopt on any syntax error or
 /// trailing garbage.
 std::optional<JsonValue> json_parse(std::string_view text);

@@ -75,7 +75,6 @@ Registry& registry() {
 }
 
 std::atomic<bool> g_phase_timing{false};
-std::atomic<bool> g_histograms{true};
 
 struct ShardOwner {
   Shard* shard = new Shard();
@@ -217,31 +216,6 @@ double histogram_quantile(const std::vector<HistBucket>& buckets, double q) {
   return buckets.empty() ? 0.0 : buckets.back().lo;
 }
 
-LocalHistogram::LocalHistogram()
-    : counts_(static_cast<std::size_t>(kHistBuckets), 0) {}
-
-void LocalHistogram::observe(double value) {
-  ++counts_[static_cast<std::size_t>(histogram_bucket_index(value))];
-  ++count_;
-  sum_ += value;
-  if (value > max_) max_ = value;
-}
-
-std::vector<HistBucket> LocalHistogram::buckets() const {
-  std::vector<HistBucket> out;
-  for (int i = 0; i < kHistBuckets; ++i) {
-    const std::uint64_t c = counts_[static_cast<std::size_t>(i)];
-    if (c == 0) continue;
-    const auto [lo, hi] = histogram_bucket_bounds(i);
-    out.push_back({lo, hi, c});
-  }
-  return out;
-}
-
-double LocalHistogram::quantile(double q) const {
-  return histogram_quantile(buckets(), q);
-}
-
 void add(Metric m, std::int64_t delta) {
   local_shard().value[m.id].fetch_add(delta, std::memory_order_relaxed);
 }
@@ -258,7 +232,6 @@ void record(Metric m, double seconds) {
 }
 
 void observe(Metric m, double value) {
-  if (!g_histograms.load(std::memory_order_relaxed)) return;
   const int slot = registry().hist_slot[m.id].load(std::memory_order_relaxed);
   if (slot == 0) return;  // not a histogram handle
   Shard& s = local_shard();
@@ -272,14 +245,6 @@ void observe(Metric m, double value) {
                                                    std::memory_order_relaxed);
   s.hist_sum[static_cast<std::size_t>(slot - 1)].fetch_add(
       value, std::memory_order_relaxed);
-}
-
-void set_histograms(bool on) {
-  g_histograms.store(on, std::memory_order_relaxed);
-}
-
-bool histograms_enabled() {
-  return g_histograms.load(std::memory_order_relaxed);
 }
 
 std::uint64_t monotonic_ns() {

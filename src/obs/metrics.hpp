@@ -70,15 +70,11 @@ void set(Metric m, std::int64_t value);
 void record(Metric m, double seconds);
 
 /// Histogram: record one observation into the calling thread's shard.
-/// Cheap (index computation + two relaxed atomic adds); gated by
-/// set_histograms() so the overhead bench can measure the disabled cost.
+/// Cheap (index computation + two relaxed atomic adds); no switch, like
+/// counters and levels.
 void observe(Metric m, double value);
 
-/// Global gate for histogram observations (default on).
-void set_histograms(bool on);
-bool histograms_enabled();
-
-// --- Histogram bucket scheme (shared by the registry and LocalHistogram).
+// --- Histogram bucket scheme.
 // Covers (2^kHistMinExp, 2^kHistMaxExp) ≈ (9.3e-10, 1.7e10) with
 // kHistSubBuckets linear buckets per octave, plus an underflow bucket 0
 // (zero / out-of-range-low values) and an overflow bucket at the top.
@@ -106,26 +102,6 @@ struct HistBucket {
 /// containing the rank-⌈q·n⌉ observation — within half a bucket width of
 /// the exact order statistic. 0 when empty.
 double histogram_quantile(const std::vector<HistBucket>& buckets, double q);
-
-/// Unsynchronized instance-owned histogram with the same bucket scheme:
-/// bounded memory regardless of observation count (the scheduler's request
-/// latencies use this under its own mutex). Tracks the exact max.
-class LocalHistogram {
- public:
-  LocalHistogram();
-  void observe(double value);
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double max() const { return max_; }
-  double quantile(double q) const;
-  std::vector<HistBucket> buckets() const;
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// RAII timer observation.
 class ScopedTimer {

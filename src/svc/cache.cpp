@@ -3,7 +3,25 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.hpp"
+
 namespace optalloc::svc {
+
+namespace {
+
+struct CacheMetrics {
+  obs::Metric hits = obs::counter("svc.cache.hits");
+  obs::Metric misses = obs::counter("svc.cache.misses");
+  obs::Metric insertions = obs::counter("svc.cache.insertions");
+  obs::Metric evictions = obs::counter("svc.cache.evictions");
+};
+
+CacheMetrics& metrics() {
+  static CacheMetrics m;
+  return m;
+}
+
+}  // namespace
 
 ResultCache::ResultCache(std::size_t capacity, int shards) {
   const std::size_t n = std::max<std::size_t>(
@@ -16,7 +34,7 @@ ResultCache::~ResultCache() {
   // Retract this cache's contribution from the resource registry: tests
   // and benches build many schedulers, and their caches must not leave
   // phantom occupancy behind.
-  for (const Shard& s : shards_) {
+  for (Shard& s : shards_) {
     util::MutexLock lock(s.mu);
     obs::res_add(res_, -static_cast<std::int64_t>(s.bytes),
                  -static_cast<std::int64_t>(s.lru.size()));
@@ -39,11 +57,11 @@ std::optional<CachedAnswer> ResultCache::get(const Fingerprint& key,
   const auto it = s.index.find(key.a);
   if (it == s.index.end() || it->second->key != key ||
       it->second->text != canonical_text) {
-    ++s.stats.misses;
+    obs::add(metrics().misses);
     return std::nullopt;
   }
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-  ++s.stats.hits;
+  obs::add(metrics().hits);
   return it->second->answer;
 }
 
@@ -70,56 +88,16 @@ void ResultCache::put(const Fingerprint& key, std::string canonical_text,
     const std::size_t victim = entry_bytes(s.lru.back());
     s.index.erase(s.lru.back().key.a);
     s.lru.pop_back();
-    ++s.stats.evictions;
+    obs::add(metrics().evictions);
     s.bytes -= victim;
     obs::res_add(res_, -static_cast<std::int64_t>(victim), -1);
   }
   s.lru.push_front(Entry{key, std::move(canonical_text), std::move(answer)});
   s.index.emplace(key.a, s.lru.begin());
-  ++s.stats.insertions;
+  obs::add(metrics().insertions);
   const std::size_t added = entry_bytes(s.lru.front());
   s.bytes += added;
   obs::res_add(res_, static_cast<std::int64_t>(added), 1);
-}
-
-CacheStats ResultCache::stats() const {
-  CacheStats total;
-  for (const Shard& s : shards_) {
-    util::MutexLock lock(s.mu);
-    total.hits += s.stats.hits;
-    total.misses += s.stats.misses;
-    total.insertions += s.stats.insertions;
-    total.evictions += s.stats.evictions;
-  }
-  return total;
-}
-
-std::size_t ResultCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    util::MutexLock lock(s.mu);
-    n += s.lru.size();
-  }
-  return n;
-}
-
-std::size_t ResultCache::bytes() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    util::MutexLock lock(s.mu);
-    n += s.bytes;
-  }
-  return n;
-}
-
-std::vector<CacheShardOccupancy> ResultCache::shard_occupancy() const {
-  std::vector<CacheShardOccupancy> out;
-  out.reserve(shards_.size());
-  for (const Shard& s : shards_) {
-    util::MutexLock lock(s.mu);
-    out.push_back({s.lru.size(), s.bytes, per_shard_capacity_});
-  }
-  return out;
 }
 
 }  // namespace optalloc::svc

@@ -10,6 +10,11 @@
 // own mutex, so concurrent workers rarely contend. Lookups compare the
 // full canonical text, so a fingerprint collision degrades to a miss,
 // never a wrong answer.
+//
+// Observability: get() counts svc.cache.hits / svc.cache.misses and put()
+// svc.cache.insertions / svc.cache.evictions in the metrics registry;
+// its entries and estimated bytes are the res.svc.cache level, the one
+// read-out of its occupancy.
 
 #include <cstdint>
 #include <list>
@@ -35,23 +40,6 @@ struct CachedAnswer {
   rt::Allocation allocation;    ///< canonical indexing
 };
 
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-};
-
-/// Point-in-time fill level of one shard (occupancy telemetry for
-/// alloc_top and the skew analysis future eviction policies need: a hot
-/// shard pinning its LRU while others sit empty is invisible in the
-/// aggregate counters).
-struct CacheShardOccupancy {
-  std::size_t entries = 0;
-  std::size_t bytes = 0;  ///< estimated retained footprint
-  std::size_t capacity = 0;
-};
-
 class ResultCache {
  public:
   /// `capacity` total entries spread over `shards` independent LRU lists
@@ -71,12 +59,6 @@ class ResultCache {
 
   ~ResultCache();
 
-  CacheStats stats() const;   ///< aggregated over shards
-  std::size_t size() const;   ///< live entries
-  std::size_t bytes() const;  ///< estimated retained footprint
-  int shards() const { return static_cast<int>(shards_.size()); }
-  std::vector<CacheShardOccupancy> shard_occupancy() const;
-
  private:
   struct Entry {
     Fingerprint key;
@@ -84,11 +66,10 @@ class ResultCache {
     CachedAnswer answer;
   };
   struct Shard {
-    mutable util::Mutex mu;
+    util::Mutex mu;
     std::list<Entry> lru OPTALLOC_GUARDED_BY(mu);  ///< front = MRU
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index
         OPTALLOC_GUARDED_BY(mu);
-    CacheStats stats OPTALLOC_GUARDED_BY(mu);
     std::size_t bytes OPTALLOC_GUARDED_BY(mu) = 0;  ///< sum of entry_bytes
   };
 

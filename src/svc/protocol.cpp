@@ -1,5 +1,6 @@
 #include "svc/protocol.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "obs/flight.hpp"
@@ -35,33 +36,52 @@ std::optional<Request> parse_request(const std::string& line,
   if (!verb) {
     return fail("missing \"verb\"", "bad_request");
   }
-  Request req;
-  if (*verb == "submit") {
-    req.verb = Request::Verb::kSubmit;
-    const auto problem = doc->get_string("problem");
-    if (!problem || problem->empty()) {
-      return fail("submit requires a \"problem\" string", "bad_request");
+  // Integer fields: an absent one keeps its default; anything but a whole
+  // number within [lo, hi] names itself in `bad_field`.
+  std::string bad_field;
+  const auto integer = [&](const char* key, std::int64_t lo, std::int64_t hi,
+                           auto& out) {
+    const obs::JsonValue* v = doc->get(key);
+    if (v == nullptr) return;
+    if (const auto n = obs::json_integer(*v, lo, hi)) {
+      out = static_cast<std::remove_reference_t<decltype(out)>>(*n);
+    } else if (bad_field.empty()) {
+      bad_field = "\"" + std::string(key) + "\" must be an integer in [" +
+                  std::to_string(lo) + ", " + std::to_string(hi) + "]";
     }
-    req.problem_text = *problem;
-    if (const auto obj = doc->get_string("objective")) req.objective = *obj;
+  };
+  // The solve budget every solving verb takes.
+  const auto budget = [&](Request& req) {
     if (const auto d = doc->get_number("deadline_ms")) {
       req.deadline_ms = *d > 0 ? *d : 0.0;
     }
-    if (const auto c = doc->get_number("conflicts")) {
-      req.conflicts = static_cast<std::int64_t>(*c > 0 ? *c : 0);
-    }
-    if (const auto t = doc->get_number("threads")) {
-      req.threads = *t > 1 ? static_cast<int>(*t) : 1;
-    }
-    req.wait = get_bool(*doc, "wait", false);
+    integer("conflicts", 0, obs::kJsonMaxInteger, req.conflicts);
+  };
+  const auto checked = [&](Request req) -> std::optional<Request> {
+    if (!bad_field.empty()) return fail(bad_field, "bad_request");
     return req;
+  };
+  Request req;
+  if (*verb == "submit" || *verb == "session_open") {
+    req.verb = *verb == "submit" ? Request::Verb::kSubmit
+                                 : Request::Verb::kSessionOpen;
+    const auto problem = doc->get_string("problem");
+    if (!problem || problem->empty()) {
+      return fail(*verb + " requires a \"problem\" string", "bad_request");
+    }
+    req.problem_text = *problem;
+    if (const auto obj = doc->get_string("objective")) req.objective = *obj;
+    budget(req);
+    if (req.verb == Request::Verb::kSubmit) {
+      integer("threads", 1, kMaxRequestThreads, req.threads);
+      req.wait = get_bool(*doc, "wait", false);
+    }
+    return checked(std::move(req));
   }
-  if (*verb == "status" || *verb == "cancel" || *verb == "result" ||
-      *verb == "inspect") {
+  if (*verb == "status" || *verb == "cancel" || *verb == "result") {
     req.verb = *verb == "status"   ? Request::Verb::kStatus
                : *verb == "cancel" ? Request::Verb::kCancel
-               : *verb == "result" ? Request::Verb::kResult
-                                   : Request::Verb::kInspect;
+                                   : Request::Verb::kResult;
     const auto id = doc->get_string("id");
     if (!id || id->empty()) {
       return fail(*verb + " requires an \"id\"", "bad_request");
@@ -74,10 +94,6 @@ std::optional<Request> parse_request(const std::string& line,
     if (const auto id = doc->get_string("id")) req.id = *id;
     return req;
   }
-  if (*verb == "stats") {
-    req.verb = Request::Verb::kStats;
-    return req;
-  }
   if (*verb == "metrics") {
     req.verb = Request::Verb::kMetrics;
     return req;
@@ -88,27 +104,8 @@ std::optional<Request> parse_request(const std::string& line,
     if (const auto w = doc->get_number("last_s")) {
       req.last_s = *w > 0 ? *w : 0.0;
     }
-    if (const auto m = doc->get_number("max_samples")) {
-      req.max_samples = static_cast<std::int64_t>(*m > 0 ? *m : 0);
-    }
-    return req;
-  }
-  if (*verb == "session_open") {
-    req.verb = Request::Verb::kSessionOpen;
-    const auto problem = doc->get_string("problem");
-    if (!problem || problem->empty()) {
-      return fail("session_open requires a \"problem\" string",
-                  "bad_request");
-    }
-    req.problem_text = *problem;
-    if (const auto obj = doc->get_string("objective")) req.objective = *obj;
-    if (const auto d = doc->get_number("deadline_ms")) {
-      req.deadline_ms = *d > 0 ? *d : 0.0;
-    }
-    if (const auto c = doc->get_number("conflicts")) {
-      req.conflicts = static_cast<std::int64_t>(*c > 0 ? *c : 0);
-    }
-    return req;
+    integer("max_samples", 0, obs::kJsonMaxInteger, req.max_samples);
+    return checked(std::move(req));
   }
   if (*verb == "revise" || *verb == "session_close") {
     req.verb = *verb == "revise" ? Request::Verb::kRevise
@@ -127,14 +124,9 @@ std::optional<Request> parse_request(const std::string& line,
       auto patch = inc::parse_patch(*edits, &patch_error);
       if (!patch) return fail(patch_error, "bad_patch");
       req.patch = std::move(*patch);
-      if (const auto d = doc->get_number("deadline_ms")) {
-        req.deadline_ms = *d > 0 ? *d : 0.0;
-      }
-      if (const auto c = doc->get_number("conflicts")) {
-        req.conflicts = static_cast<std::int64_t>(*c > 0 ? *c : 0);
-      }
+      budget(req);
     }
-    return req;
+    return checked(std::move(req));
   }
   if (*verb == "shutdown") {
     req.verb = Request::Verb::kShutdown;
@@ -160,10 +152,16 @@ std::string snapshot_line(const JobSnapshot& snapshot) {
   obs::JsonObject o;
   o.boolean("ok", true)
       .str("id", snapshot.id)
-      .str("state", job_state_name(snapshot.state));
-  if (snapshot.state != JobState::kDone &&
-      snapshot.state != JobState::kCancelled) {
-    return o.build();
+      .str("state", job_state_name(snapshot.state))
+      .str("phase", job_phase_name(snapshot.phase))
+      .num("elapsed_ms", snapshot.elapsed_s * 1000.0)
+      .num("deadline_ms", snapshot.deadline_s * 1000.0)
+      .num("sat_calls", snapshot.sat_calls)
+      .num("conflicts", snapshot.conflicts)
+      .num("req", static_cast<std::int64_t>(snapshot.req));
+  if (snapshot.state == JobState::kQueued ||
+      snapshot.state == JobState::kRunning) {
+    return o.num("lower", snapshot.lower).num("upper", snapshot.upper).build();
   }
   const JobAnswer& a = snapshot.answer;
   o.str("status", a.status)
@@ -172,7 +170,6 @@ std::string snapshot_line(const JobSnapshot& snapshot) {
       .boolean("cached", a.cached)
       .num("cost", a.cost)
       .num("lower_bound", a.lower_bound)
-      .num("sat_calls", static_cast<std::int64_t>(a.sat_calls))
       .num("queue_ms", a.queue_seconds * 1000.0)
       .num("solve_ms", a.solve_seconds * 1000.0)
       .num("total_ms", a.total_seconds * 1000.0);
@@ -184,37 +181,6 @@ std::string snapshot_line(const JobSnapshot& snapshot) {
     o.raw("task_ecu", ecus.build());
   }
   return o.build();
-}
-
-std::string stats_line(const ServiceStats& stats) {
-  return obs::JsonObject()
-      .boolean("ok", true)
-      .num("submitted", static_cast<std::int64_t>(stats.submitted))
-      .num("completed", static_cast<std::int64_t>(stats.completed))
-      .num("cancelled", static_cast<std::int64_t>(stats.cancelled))
-      .num("rejected", static_cast<std::int64_t>(stats.rejected))
-      .num("deadline_expired",
-           static_cast<std::int64_t>(stats.deadline_expired))
-      .num("queue_depth", static_cast<std::int64_t>(stats.queue_depth))
-      .num("workers", static_cast<std::int64_t>(stats.workers))
-      .num("uptime_s", stats.uptime_s)
-      .num("start_time_unix_ms", stats.start_time_unix_ms)
-      .num("sessions_opened", static_cast<std::int64_t>(stats.sessions_opened))
-      .num("sessions_closed", static_cast<std::int64_t>(stats.sessions_closed))
-      .num("revises", static_cast<std::int64_t>(stats.revises))
-      .num("active_sessions",
-           static_cast<std::int64_t>(stats.active_sessions))
-      .num("cache_hits", static_cast<std::int64_t>(stats.cache.hits))
-      .num("cache_misses", static_cast<std::int64_t>(stats.cache.misses))
-      .num("cache_insertions",
-           static_cast<std::int64_t>(stats.cache.insertions))
-      .num("cache_evictions",
-           static_cast<std::int64_t>(stats.cache.evictions))
-      .num("p50_ms", stats.p50_ms)
-      .num("p95_ms", stats.p95_ms)
-      .num("p99_ms", stats.p99_ms)
-      .num("max_ms", stats.max_ms)
-      .build();
 }
 
 std::string metrics_line() {
@@ -261,30 +227,6 @@ std::string query_line(const Request& request) {
       .num("count", static_cast<std::int64_t>(samples.size()))
       .raw("samples", rows.build())
       .build();
-}
-
-std::string inspect_line(const JobInspect& inspect) {
-  obs::JsonObject o;
-  o.boolean("ok", true)
-      .str("id", inspect.id)
-      .str("state", job_state_name(inspect.state))
-      .str("phase", job_phase_name(inspect.phase))
-      .num("elapsed_ms", inspect.elapsed_s * 1000.0)
-      .num("deadline_ms", inspect.deadline_s * 1000.0)
-      .num("lower", inspect.lower)
-      .num("upper", inspect.upper)
-      .num("sat_calls", inspect.sat_calls)
-      .num("conflicts", inspect.conflicts)
-      .num("req", static_cast<std::int64_t>(inspect.req));
-  if (inspect.state == JobState::kDone ||
-      inspect.state == JobState::kCancelled) {
-    o.str("status", inspect.answer.status)
-        .boolean("proven_optimal", inspect.answer.proven_optimal)
-        .boolean("deadline_expired", inspect.answer.deadline_expired)
-        .num("cost", inspect.answer.cost)
-        .num("lower_bound", inspect.answer.lower_bound);
-  }
-  return o.build();
 }
 
 std::string dump_line(std::uint64_t req) {

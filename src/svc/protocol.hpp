@@ -5,19 +5,21 @@
 //
 //   {"verb":"submit","problem":"<problem text>","objective":"sum-trt",
 //    "deadline_ms":500,"conflicts":100000,"threads":1,"wait":true}
-//       -> {"ok":true,"id":"r1"}  (or, with "wait", the terminal snapshot)
-//   {"verb":"status","id":"r1"}    -> snapshot (state + answer when done)
-//   {"verb":"result","id":"r1"}    -> snapshot, blocking until terminal
+//       -> {"ok":true,"id":"r1"}  (or, with "wait", the terminal job view)
+//   {"verb":"status","id":"r1"}    -> the job view: always id, state,
+//                                     phase (queued/warm_start/solving/
+//                                     finished), elapsed_ms, deadline_ms,
+//                                     sat_calls, conflicts and req (the
+//                                     trace/flight request id); while it
+//                                     runs, the proven cost interval
+//                                     lower/upper; once terminal, the
+//                                     answer (status, cost, allocation...)
+//   {"verb":"result","id":"r1"}    -> the job view, blocking until terminal
 //   {"verb":"cancel","id":"r1"}    -> {"ok":true,"id":"r1"}
-//   {"verb":"stats"}               -> service + cache counters, latencies
 //   {"verb":"metrics"}             -> full metrics registry snapshot
-//                                     (counters, gauges, timers, histogram
-//                                     quantiles + buckets) under "metrics"
-//   {"verb":"inspect","id":"r1"}   -> live mid-solve introspection: the
-//                                     current phase (queued/warm_start/
-//                                     solving/finished), elapsed time and
-//                                     the proven cost interval + SOLVE
-//                                     call/conflict counts so far
+//                                     (counters, gauges, levels, timers,
+//                                     histogram quantiles + buckets) under
+//                                     "metrics": every service counter
 //   {"verb":"dump"}                -> flight-recorder contents as an
 //                                     "events" array (add "id" to filter
 //                                     to one request's records)
@@ -51,13 +53,17 @@
 // "unknown_id", "bad_problem", "bad_objective", "queue_full",
 // "unknown_session", "bad_patch", "request_too_large") — clients branch
 // on it without parsing prose. "request_too_large" answers a line over
-// kMaxRequestBytes (server.hpp); the server then closes that connection. Unknown verbs in particular are answered (with
-// code "unknown_verb"), never silently dropped.
+// kMaxRequestBytes; the server then closes that connection. Unknown verbs
+// in particular are answered (with code "unknown_verb"), never silently
+// dropped. Integer fields (conflicts, threads, max_samples and the edits'
+// numbers) must be whole numbers in range, else "bad_request" (or
+// "bad_patch"); threads is capped at kMaxRequestThreads.
 // The problem text is the alloc::io file format embedded as one JSON
 // string (newlines escaped); the objective uses alloc::parse_objective
 // spec syntax. Anytime answers surface as state="done" with
 // "proven_optimal":false plus the incumbent cost and proven lower bound.
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -66,24 +72,31 @@
 
 namespace optalloc::svc {
 
+/// Longest request line a connection may send (the shipped problems are
+/// around 1 KiB). A longer one is answered with code "request_too_large"
+/// and its connection closed, so no client can grow a handler's buffer
+/// without bound.
+constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
+
+/// Most portfolio workers one submit may ask for: each is an OS thread.
+constexpr int kMaxRequestThreads = 64;
+
 struct Request {
   enum class Verb {
     kSubmit,
     kStatus,
     kCancel,
     kResult,
-    kStats,
     kMetrics,
     kQuery,
-    kInspect,
     kDump,
     kShutdown,
     kSessionOpen,
     kRevise,
     kSessionClose
   };
-  Verb verb = Verb::kStats;
-  std::string id;            ///< status/cancel/result/inspect; dump (opt.)
+  Verb verb = Verb::kMetrics;
+  std::string id;            ///< status/cancel/result; dump (optional)
   std::string problem_text;  ///< submit/session_open: alloc::io format
   std::string objective = "sum-trt";
   double deadline_ms = 0.0;
@@ -110,21 +123,14 @@ std::optional<Request> parse_request(const std::string& line,
 std::string error_line(const std::string& message,
                        const std::string& code = "error");
 std::string submit_ack_line(const std::string& id);
-/// Snapshot of a job: always ok/id/state; terminal states add the full
-/// answer (status, proven_optimal, cost, lower_bound, cached,
-/// deadline_expired, timings, and the task->ECU vector when present).
+/// The job view (status, result, submit with "wait"): see the header.
 std::string snapshot_line(const JobSnapshot& snapshot);
-std::string stats_line(const ServiceStats& stats);
 /// Full registry snapshot (obs::metrics_full_json) under "metrics" —
 /// enough for a remote client to render Prometheus text format.
 std::string metrics_line();
 /// Time-series reply (query verb). With a metric: its windowed samples
 /// as [unix_ms, value] pairs; without: the series catalogue.
 std::string query_line(const Request& request);
-/// Live per-request introspection (inspect verb): phase, elapsed wall
-/// time, proven cost interval, SOLVE calls and conflicts so far; terminal
-/// jobs additionally carry the answer's status fields.
-std::string inspect_line(const JobInspect& inspect);
 /// Flight-recorder dump (dump verb): {"ok":true,"count":N,"events":[..]},
 /// filtered to one request's records when `req` != 0.
 std::string dump_line(std::uint64_t req);

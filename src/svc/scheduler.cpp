@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "alloc/optimizer.hpp"
@@ -34,15 +33,12 @@ struct SvcMetrics {
   obs::Metric rejected = obs::counter("svc.rejected");
   obs::Metric completed = obs::counter("svc.completed");
   obs::Metric cancelled = obs::counter("svc.cancelled");
-  obs::Metric cache_hits = obs::counter("svc.cache.hits");
-  obs::Metric cache_misses = obs::counter("svc.cache.misses");
   obs::Metric deadline_expired = obs::counter("svc.deadline_expired");
-  obs::Metric queue_depth = obs::gauge("svc.queue_depth");
+  obs::Metric workers = obs::gauge("svc.workers");
+  obs::Metric start_time_unix_ms = obs::gauge("svc.start_time_unix_ms");
   obs::Metric queue_time = obs::timer("svc.time.queue");
   obs::Metric solve_time = obs::timer("svc.time.solve");
   // Distributions: ms-scale histograms scrapeable via the metrics verb.
-  // The same observations feed the per-Scheduler LocalHistogram behind
-  // stats(), so `metrics --prom` quantiles and `stats` percentiles agree.
   obs::Metric queue_wait_ms = obs::histogram("svc.queue_wait_ms");
   obs::Metric request_ms = obs::histogram("svc.request_ms");
   obs::Metric cache_lookup_ms = obs::histogram("svc.cache_lookup_ms");
@@ -94,12 +90,13 @@ struct Scheduler::Job {
   obs::SpanContext ctx;
   std::uint64_t queue_span = 0;  ///< open queue_wait span (cross-thread)
   std::size_t queue_bytes = 0;   ///< "svc.queue" contribution while queued
-  // Live-introspection fields (the inspect verb): updated with relaxed
-  // stores from the worker's progress callback, read lock-free by any
-  // connection thread. Staleness is bounded by one SOLVE call.
+  // Live fields of the job view: updated with relaxed stores from the
+  // worker's progress callback, read lock-free by any connection thread.
+  // Staleness is bounded by one SOLVE call.
   std::atomic<int> phase{static_cast<int>(JobPhase::kQueued)};
   std::atomic<std::int64_t> live_lower{0};
   std::atomic<std::int64_t> live_upper{-1};   ///< -1 = no incumbent yet
+  /// Once the solve returns: the total over all portfolio workers.
   std::atomic<std::int64_t> live_sat_calls{0};
   std::atomic<std::int64_t> live_conflicts{0};
 };
@@ -141,10 +138,10 @@ void flight_postmortem(const std::string& id, std::uint64_t req,
 Scheduler::Scheduler(const SchedulerOptions& options)
     : options_(options),
       cache_(options.cache_entries, options.cache_shards) {
-  start_unix_ms_ = obs::wall_unix_ms();
   options_.workers = std::max(1, options_.workers);
   options_.queue_capacity = std::max<std::size_t>(1, options_.queue_capacity);
-  counters_.workers = options_.workers;
+  obs::set(metrics().workers, options_.workers);
+  obs::set(metrics().start_time_unix_ms, obs::wall_unix_ms());
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -160,15 +157,14 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
   job->submitted = Clock::now();
   // Process-unique request id; every event below (and on the worker that
   // later claims the job) carries it as "req". Assigned before the job is
-  // published in jobs_ — concurrent inspect()/request_trace_id() calls
-  // read it, so it must be immutable by the time anyone else can see it.
+  // published in jobs_ — concurrent status() calls read it, so it must
+  // be immutable by the time anyone else can see it.
   job->ctx.req = obs::next_span_id();
 
   std::size_t depth = 0;
   {
     util::MutexLock lock(mu_);
     if (!accepting_) {
-      ++counters_.rejected;
       obs::add(metrics().rejected);
       return std::nullopt;
     }
@@ -177,7 +173,6 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     depth = queue_.size();
   }
   obs::ContextScope ctx_scope(job->ctx);
-  obs::add(metrics().requests);
   if (obs::trace_enabled()) {
     obs::TraceEvent("request_received")
         .str("id", job->id)
@@ -195,7 +190,6 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
                  seconds_since(lookup_start) * 1000.0);
   }
   if (hit) {
-    obs::add(metrics().cache_hits);
     if (obs::trace_enabled()) {
       obs::TraceEvent("cache_hit").str("id", job->id);
     }
@@ -213,24 +207,19 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
         answer.allocation = restore_allocation(job->canon, hit->allocation);
       }
     }
-    {
-      util::MutexLock lock(mu_);
-      ++counters_.submitted;
-    }
+    obs::add(metrics().requests);
     finalize(job, JobState::kDone, std::move(answer));
     return job->id;
   }
-  obs::add(metrics().cache_misses);
 
   {
     util::MutexLock lock(mu_);
     if (queue_.size() >= options_.queue_capacity) {
-      ++counters_.rejected;
       jobs_.erase(job->id);
       obs::add(metrics().rejected);
       return std::nullopt;
     }
-    ++counters_.submitted;
+    obs::add(metrics().requests);
     // Cross-thread span: begun here, ended by the worker that claims the
     // job (execute() knows the measured wait). Opened before the job is
     // enqueued: once it is in queue_, a worker may claim it and read
@@ -238,8 +227,6 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     job->queue_span = obs::span_begin_event("queue_wait", job->ctx);
     job->queue_bytes = job->canon.text.size();
     queue_.push_back(job);
-    obs::set(metrics().queue_depth,
-             static_cast<std::int64_t>(queue_.size()));
     obs::res_add(queue_res_,
                  static_cast<std::int64_t>(job->queue_bytes), 1);
   }
@@ -247,49 +234,39 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
   return job->id;
 }
 
-std::optional<JobSnapshot> Scheduler::status(const std::string& id) const {
-  util::MutexLock lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  JobSnapshot snap;
-  snap.id = it->second->id;
-  snap.state = it->second->state;
-  snap.answer = it->second->answer;
-  return snap;
+JobSnapshot Scheduler::snapshot_of(const Job& job, JobState state,
+                                   JobAnswer answer) {
+  JobSnapshot out;
+  out.id = job.id;
+  out.state = state;
+  out.phase = static_cast<JobPhase>(job.phase.load(std::memory_order_relaxed));
+  const bool terminal =
+      state == JobState::kDone || state == JobState::kCancelled;
+  out.elapsed_s =
+      terminal ? answer.total_seconds : seconds_since(job.submitted);
+  out.deadline_s = job.request.deadline_s;
+  out.lower = job.live_lower.load(std::memory_order_relaxed);
+  out.upper = job.live_upper.load(std::memory_order_relaxed);
+  out.sat_calls = job.live_sat_calls.load(std::memory_order_relaxed);
+  out.conflicts = job.live_conflicts.load(std::memory_order_relaxed);
+  out.req = job.ctx.req;
+  out.answer = std::move(answer);
+  return out;
 }
 
-std::optional<JobInspect> Scheduler::inspect(const std::string& id) const {
+std::optional<JobSnapshot> Scheduler::status(const std::string& id) const {
   std::shared_ptr<Job> job;
-  JobInspect out;
+  JobState state = JobState::kQueued;
+  JobAnswer answer;
   {
     util::MutexLock lock(mu_);
     const auto it = jobs_.find(id);
     if (it == jobs_.end()) return std::nullopt;
     job = it->second;
-    out.state = job->state;
-    out.answer = job->answer;
+    state = job->state;
+    answer = job->answer;
   }
-  out.id = job->id;
-  out.phase = static_cast<JobPhase>(job->phase.load(std::memory_order_relaxed));
-  const bool terminal =
-      out.state == JobState::kDone || out.state == JobState::kCancelled;
-  out.elapsed_s =
-      terminal ? out.answer.total_seconds : seconds_since(job->submitted);
-  out.deadline_s = job->request.deadline_s;
-  out.lower = job->live_lower.load(std::memory_order_relaxed);
-  out.upper = job->live_upper.load(std::memory_order_relaxed);
-  out.sat_calls = job->live_sat_calls.load(std::memory_order_relaxed);
-  out.conflicts = job->live_conflicts.load(std::memory_order_relaxed);
-  out.req = job->ctx.req;
-  return out;
-}
-
-std::optional<std::uint64_t> Scheduler::request_trace_id(
-    const std::string& id) const {
-  util::MutexLock lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  return it->second->ctx.req;
+  return snapshot_of(*job, state, std::move(answer));
 }
 
 bool Scheduler::cancel(const std::string& id) {
@@ -322,11 +299,7 @@ std::optional<JobSnapshot> Scheduler::wait(const std::string& id,
   } else if (!lock.wait_until(done_cv_, deadline, terminal)) {
     return std::nullopt;
   }
-  JobSnapshot snap;
-  snap.id = job->id;
-  snap.state = job->state;
-  snap.answer = job->answer;
-  return snap;
+  return snapshot_of(*job, job->state, job->answer);
 }
 
 std::optional<std::pair<std::string, SessionAnswer>> Scheduler::session_open(
@@ -339,7 +312,6 @@ std::optional<std::pair<std::string, SessionAnswer>> Scheduler::session_open(
     if (!accepting_) return std::nullopt;
     entry->id = "s" + std::to_string(++next_session_id_);
     sessions_.emplace(entry->id, entry);
-    ++counters_.sessions_opened;
     obs::res_add(sessions_res_, 0, 1);
   }
   obs::add(metrics().sessions_opened);
@@ -371,7 +343,6 @@ std::optional<SessionAnswer> Scheduler::session_revise(
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) return std::nullopt;
     entry = it->second;
-    ++counters_.revises;
   }
   obs::add(metrics().revises);
   return run_session_solve(*entry, &patch, patch.ops.size(), deadline_s,
@@ -386,7 +357,6 @@ bool Scheduler::session_close(const std::string& id) {
     if (it == sessions_.end()) return false;
     entry = it->second;
     sessions_.erase(it);
-    ++counters_.sessions_closed;
     obs::res_add(sessions_res_, 0, -1);
   }
   obs::add(metrics().sessions_closed);
@@ -517,28 +487,6 @@ void Scheduler::shutdown(bool drain) {
   joined_ = true;
 }
 
-ServiceStats Scheduler::stats() const {
-  ServiceStats out;
-  obs::LocalHistogram lat;
-  {
-    util::MutexLock lock(mu_);
-    out = counters_;
-    out.queue_depth = queue_.size();
-    out.active_sessions = sessions_.size();
-    lat = latencies_ms_;
-  }
-  out.cache = cache_.stats();
-  out.uptime_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count();
-  out.start_time_unix_ms = start_unix_ms_;
-  out.p50_ms = lat.quantile(0.50);
-  out.p95_ms = lat.quantile(0.95);
-  out.p99_ms = lat.quantile(0.99);
-  out.max_ms = lat.max();
-  return out;
-}
-
 void Scheduler::worker_loop() {
   for (;;) {
     std::shared_ptr<Job> job;
@@ -554,8 +502,6 @@ void Scheduler::worker_loop() {
       job = queue_.front();
       queue_.pop_front();
       job->state = JobState::kRunning;
-      obs::set(metrics().queue_depth,
-               static_cast<std::int64_t>(queue_.size()));
       obs::res_add(queue_res_,
                    -static_cast<std::int64_t>(job->queue_bytes), -1);
     }
@@ -636,7 +582,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   opts.stop = &job->stop;
   opts.inprocess = options_.inprocess;
   opts.inprocess_interval = options_.inprocess_interval;
-  // Feed the inspect verb: every optimizer progress report lands in the
+  // Feed the job view: every optimizer progress report lands in the
   // job's relaxed atomics (portfolio workers share them; last writer
   // wins, which is fine — the interval only tightens).
   {
@@ -672,13 +618,15 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
     alloc::PortfolioResult pr = optimize_portfolio(
         job->canon.problem, job->canon.objective, popts);
     result = std::move(pr.best);
-    answer.sat_calls = 0;
+    std::int64_t sat_calls = 0;
     for (const alloc::OptimizeStats& s : pr.per_config_stats) {
-      answer.sat_calls += s.sat_calls;
+      sat_calls += s.sat_calls;
     }
+    job->live_sat_calls.store(sat_calls, std::memory_order_relaxed);
   } else {
     result = alloc::optimize(job->canon.problem, job->canon.objective, opts);
-    answer.sat_calls = result.stats.sat_calls;
+    job->live_sat_calls.store(result.stats.sat_calls,
+                              std::memory_order_relaxed);
   }
   answer.solve_seconds = seconds_since(solve_start);
   obs::record(metrics().solve_time, answer.solve_seconds);
@@ -745,33 +693,26 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
 void Scheduler::finalize(const std::shared_ptr<Job>& job, JobState state,
                          JobAnswer answer) {
   answer.total_seconds = seconds_since(job->submitted);
-  const double total_ms = answer.total_seconds * 1000.0;
   // Terminal facts, captured before the answer moves into the job: once
   // mu_ is released below, job->answer belongs to the mu_-guarded state
-  // and concurrent status()/inspect() copies — re-reading it lock-free
-  // here would be exactly the unguarded access the annotations forbid.
-  const bool deadline_expired = answer.deadline_expired;
+  // and concurrent status() copies — re-reading it lock-free here would
+  // be exactly the unguarded access the annotations forbid.
   const bool proven_optimal = answer.proven_optimal;
   const double total_seconds = answer.total_seconds;
+  // Counted before the state is published under mu_, so whoever sees the
+  // job terminal also sees it in the registry.
+  obs::add(state == JobState::kCancelled ? metrics().cancelled
+                                         : metrics().completed);
+  if (answer.deadline_expired) obs::add(metrics().deadline_expired);
+  obs::observe(metrics().request_ms, total_seconds * 1000.0);
   job->phase.store(static_cast<int>(JobPhase::kFinished),
                    std::memory_order_relaxed);
   {
     util::MutexLock lock(mu_);
     job->answer = std::move(answer);
     job->state = state;
-    if (state == JobState::kCancelled) {
-      ++counters_.cancelled;
-    } else {
-      ++counters_.completed;
-    }
-    if (deadline_expired) ++counters_.deadline_expired;
-    latencies_ms_.observe(total_ms);
   }
-  obs::observe(metrics().request_ms, total_ms);
   done_cv_.notify_all();
-  obs::add(state == JobState::kCancelled ? metrics().cancelled
-                                         : metrics().completed);
-  if (deadline_expired) obs::add(metrics().deadline_expired);
   if (obs::trace_enabled()) {
     obs::TraceEvent("request_done")
         .str("id", job->id)

@@ -19,12 +19,15 @@
 // through the solver's stop flag; a cancelled solve frees its worker
 // within one propagation budget check.
 //
-// Observability: svc.* metrics (request counters, cache hits, queue-depth
-// gauge, queue/solve timers) and request_received / cache_hit /
-// deadline_expired / request_done trace events.
+// Observability: the metrics registry is the only record of service
+// counters — svc.* counters (requests, completions, cancellations,
+// rejections, cache hits), svc.workers / svc.start_time_unix_ms gauges,
+// queue/solve timers and latency histograms, the res.svc.queue /
+// res.svc.sessions levels — plus request_received / cache_hit /
+// deadline_expired / request_done trace events. A process runs one
+// service, so the registry's svc.* values are that service's.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -39,7 +42,6 @@
 #include "alloc/problem.hpp"
 #include "inc/patch.hpp"
 #include "inc/session.hpp"
-#include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "svc/cache.hpp"
 #include "svc/fingerprint.hpp"
@@ -74,7 +76,7 @@ const char* job_state_name(JobState s);
 /// Where inside its lifecycle a running job currently is: waiting in the
 /// queue, in the simulated-annealing warm start, inside the BIN_SEARCH
 /// loop, or terminal. Updated with relaxed atomics by the worker; readers
-/// (the inspect verb) see a recent-but-not-instantaneous view.
+/// (the status verb) see a recent-but-not-instantaneous view.
 enum class JobPhase { kQueued, kWarmStart, kSolving, kFinished };
 const char* job_phase_name(JobPhase p);
 
@@ -89,32 +91,25 @@ struct JobAnswer {
   std::int64_t cost = -1;
   std::int64_t lower_bound = 0;
   rt::Allocation allocation;       ///< requester's original indexing
-  int sat_calls = 0;
   double queue_seconds = 0.0;
   double solve_seconds = 0.0;
   double total_seconds = 0.0;
 };
 
+/// The view of one request (status and wait): lifecycle phase, elapsed
+/// wall time, effort so far and, while it runs, the optimizer's proven
+/// cost interval as of its most recent progress report. The live fields
+/// are best-effort relaxed-atomic reads — they lag the solver by at most
+/// one SOLVE call.
 struct JobSnapshot {
   std::string id;
   JobState state = JobState::kQueued;
-  JobAnswer answer;  ///< meaningful once state is kDone / kCancelled
-};
-
-/// Live mid-solve view of one request (the `inspect` verb): lifecycle
-/// phase, elapsed wall time, and the optimizer's proven cost interval +
-/// effort counters as of its most recent progress report. All live fields
-/// are best-effort relaxed-atomic reads — they lag the solver by at most
-/// one SOLVE call. `upper` is -1 until an incumbent exists.
-struct JobInspect {
-  std::string id;
-  JobState state = JobState::kQueued;
   JobPhase phase = JobPhase::kQueued;
-  double elapsed_s = 0.0;          ///< since submission (wall clock)
+  double elapsed_s = 0.0;          ///< since submission; the total once terminal
   double deadline_s = 0.0;         ///< answer-by budget (0 = none)
   std::int64_t lower = 0;          ///< greatest proven lower bound so far
   std::int64_t upper = -1;         ///< incumbent cost (-1 = none yet)
-  std::int64_t sat_calls = 0;      ///< SOLVE calls issued so far
+  std::int64_t sat_calls = 0;      ///< SOLVE calls issued (all workers, once terminal)
   std::int64_t conflicts = 0;      ///< CDCL conflicts spent so far
   std::uint64_t req = 0;           ///< trace/flight request id
   JobAnswer answer;                ///< meaningful once state is terminal
@@ -144,29 +139,6 @@ struct SessionAnswer {
   bool cache_stored = false;
 };
 
-struct ServiceStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t rejected = 0;         ///< bounced off the full queue
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t sessions_closed = 0;
-  std::uint64_t revises = 0;
-  std::size_t active_sessions = 0;
-  std::size_t queue_depth = 0;
-  int workers = 0;
-  /// Process lifetime view (alloc_top's utilization denominator).
-  double uptime_s = 0.0;
-  std::int64_t start_time_unix_ms = 0;
-  CacheStats cache;
-  // Request latency percentiles (ms, submission -> terminal state).
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-};
-
 class Scheduler {
  public:
   explicit Scheduler(const SchedulerOptions& options = {});
@@ -178,16 +150,10 @@ class Scheduler {
   /// or the scheduler is shutting down.
   std::optional<std::string> submit(JobRequest request);
 
+  /// The job's view (running or terminal); nullopt for unknown ids.
+  /// Never blocks on the solver — the live fields come from relaxed
+  /// atomics the worker updates per progress report.
   std::optional<JobSnapshot> status(const std::string& id) const;
-
-  /// Live introspection of a job (running or terminal); nullopt for
-  /// unknown ids. Never blocks on the solver — the live interval fields
-  /// come from relaxed atomics the worker updates per progress report.
-  std::optional<JobInspect> inspect(const std::string& id) const;
-
-  /// The trace/flight request id ("req" field) assigned to a job, used to
-  /// filter flight-recorder dumps to one request. Nullopt for unknown ids.
-  std::optional<std::uint64_t> request_trace_id(const std::string& id) const;
 
   /// Request cooperative cancellation. Returns false for unknown or
   /// already-terminal jobs.
@@ -231,9 +197,6 @@ class Scheduler {
   /// are stopped cooperatively in both modes.
   void shutdown(bool drain);
 
-  ServiceStats stats() const;
-  const ResultCache& cache() const { return cache_; }
-
  private:
   struct Job;
   struct SessionEntry;
@@ -246,6 +209,10 @@ class Scheduler {
                                   const inc::InstancePatch* patch,
                                   std::size_t edits, double deadline_s,
                                   std::int64_t conflicts);
+
+  /// The view of `job`, given its state and answer as copied under mu_.
+  static JobSnapshot snapshot_of(const Job& job, JobState state,
+                                 JobAnswer answer);
 
   void worker_loop();
   void execute(const std::shared_ptr<Job>& job);
@@ -282,15 +249,6 @@ class Scheduler {
   /// holding it (mu_ stays free so workers can finish); latecomers block
   /// here until the join completes instead of racing t.join().
   util::Mutex shutdown_mu_;
-  ServiceStats counters_ OPTALLOC_GUARDED_BY(mu_);  ///< counter fields only
-  /// Bounded distribution of request latencies (ms): memory does not grow
-  /// with request count, percentiles are within one bucket width (6.25%).
-  obs::LocalHistogram latencies_ms_ OPTALLOC_GUARDED_BY(mu_);
-  /// Scheduler birth on both clocks: steady for uptime arithmetic, wall
-  /// for the stats verb's start_time_unix_ms.
-  const std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-  std::int64_t start_unix_ms_ = 0;  ///< set once in the ctor
   /// Capacity accounting: queued-request bytes/count and open sessions.
   obs::Resource queue_res_ = obs::resource("svc.queue");
   obs::Resource sessions_res_ = obs::resource("svc.sessions");

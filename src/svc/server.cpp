@@ -245,28 +245,18 @@ std::string Server::handle_line(const std::string& line) {
       }
       return submit_ack_line(req->id);
     }
-    case Request::Verb::kInspect: {
-      const auto ins = scheduler_.inspect(req->id);
-      if (!ins) {
-        return error_line("unknown request id \"" + req->id + "\"",
-                          "unknown_id");
-      }
-      return inspect_line(*ins);
-    }
     case Request::Verb::kDump: {
       std::uint64_t flight_req = 0;  // 0 = every ring, unfiltered
       if (!req->id.empty()) {
-        const auto r = scheduler_.request_trace_id(req->id);
-        if (!r) {
+        const auto snap = scheduler_.status(req->id);
+        if (!snap) {
           return error_line("unknown request id \"" + req->id + "\"",
                             "unknown_id");
         }
-        flight_req = *r;
+        flight_req = snap->req;
       }
       return dump_line(flight_req);
     }
-    case Request::Verb::kStats:
-      return stats_line(scheduler_.stats());
     case Request::Verb::kMetrics:
       return metrics_line();
     case Request::Verb::kQuery:

@@ -94,6 +94,38 @@ TEST(IncPatch, ParseRejectsMalformed) {
       *obs::json_parse(R"([{"op":"set_deadline","deadline":10}])"), &error));
 }
 
+TEST(IncPatch, ParseRejectsNumbersThatAreNotIntegersInRange) {
+  // Each would otherwise cast a fractional or out-of-range double to an
+  // integer (undefined behaviour when out of range): refused, never cast.
+  for (const char* edits : {
+           R"([{"op":"set_wcet","task":"sensor","ecu":1e12,"wcet":5}])",
+           R"([{"op":"set_wcet","task":"sensor","ecu":0.5,"wcet":5}])",
+           R"([{"op":"set_wcet","task":"sensor","ecu":0,"wcet":1e300}])",
+           R"([{"op":"set_wcet","task":"sensor","ecu":0,"wcet":2.5}])",
+           R"([{"op":"remove_message","task":"sensor","index":-1e10}])",
+           R"([{"op":"set_jitter","task":"sensor","jitter":1e19}])",
+           R"([{"op":"set_memory","task":"sensor","memory":-1e19}])",
+           R"([{"op":"set_period","task":"sensor","period":0.25}])",
+           R"([{"op":"set_deadline","task":"sensor","deadline":1e100}])",
+           R"([{"op":"set_message_size","task":"sensor","index":0,"bytes":1e40}])",
+           R"([{"op":"add_task","task":"t","period":100,"deadline":90,)"
+           R"("wcet":[5,1e30]}])",
+           R"([{"op":"add_task","task":"t","period":100,"deadline":90,)"
+           R"("wcet":[5,0.5]}])"}) {
+    std::string error;
+    EXPECT_FALSE(parse_patch(*obs::json_parse(edits), &error)) << edits;
+    EXPECT_NE(error.find("integer"), std::string::npos) << error;
+  }
+  // Whole numbers at the edges of the ranges still parse.
+  const InstancePatch edge = parse_ops(
+      R"([{"op":"set_wcet","task":"sensor","ecu":2147483647,"wcet":-1},)"
+      R"({"op":"set_deadline","task":"sensor","deadline":9007199254740992}])");
+  ASSERT_EQ(edge.ops.size(), 2u);
+  EXPECT_EQ(edge.ops[0].ecu, 2147483647);
+  EXPECT_EQ(edge.ops[0].value, -1);
+  EXPECT_EQ(edge.ops[1].value, std::int64_t{9007199254740992});
+}
+
 // --- Patch application -------------------------------------------------
 
 TEST(IncPatch, ApplyEditsInOrder) {

@@ -195,18 +195,31 @@ TEST(Metrics, HistogramBucketSchemeIsSoundAndTight) {
       std::isinf(obs::histogram_bucket_bounds(obs::kHistBuckets - 1).second));
 }
 
-TEST(Metrics, LocalHistogramQuantilesWithinErrorBound) {
-  obs::LocalHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty histogram
-  for (int i = 1; i <= 1000; ++i) h.observe(i * 0.001);  // uniform (0, 1]
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_NEAR(h.sum(), 500.5, 1e-9);
-  EXPECT_DOUBLE_EQ(h.max(), 1.0);  // max is exact, not bucketed
+TEST(Metrics, HistogramQuantilesWithinErrorBound) {
+  obs::reset_metrics();
+  const obs::Metric h = obs::histogram("test.quantiles");
+  const auto current = [] {
+    for (const auto& m : obs::snapshot()) {
+      if (m.name == "test.quantiles") return m;
+    }
+    return obs::MetricValue{};
+  };
+  EXPECT_EQ(current().value, 0);
+  EXPECT_EQ(obs::histogram_quantile(current().buckets, 0.5), 0.0);  // empty
+  for (int i = 1; i <= 1000; ++i) obs::observe(h, i * 0.001);  // uniform (0, 1]
+  const obs::MetricValue m = current();
+  EXPECT_EQ(m.value, 1000);
+  EXPECT_NEAR(m.sum, 500.5, 1e-9);
+  // The top non-empty bucket holds the maximum.
+  ASSERT_FALSE(m.buckets.empty());
+  EXPECT_LE(m.buckets.back().lo, 1.0);
+  EXPECT_GT(m.buckets.back().hi, 1.0);
   for (const double q : {0.50, 0.90, 0.95, 0.99}) {
     // The q-quantile of this sample is ≈ q itself; the estimate must stay
     // within one bucket width (≤ q/16) plus the sample's 1e-3 grid.
-    EXPECT_NEAR(h.quantile(q), q, q / obs::kHistSubBuckets + 2e-3) << q;
+    EXPECT_NEAR(obs::histogram_quantile(m.buckets, q), q,
+                q / obs::kHistSubBuckets + 2e-3)
+        << q;
   }
 }
 
@@ -243,17 +256,6 @@ TEST(Metrics, HistogramShardsMergeAcrossThreads) {
     EXPECT_NEAR(p50, 500.0, 500.0 / obs::kHistSubBuckets + 1.0);
   }
   EXPECT_TRUE(found);
-}
-
-TEST(Metrics, HistogramGateSuppressesObservations) {
-  obs::reset_metrics();
-  const obs::Metric h = obs::histogram("test.gated");
-  ASSERT_TRUE(obs::histograms_enabled());
-  obs::set_histograms(false);
-  obs::observe(h, 1.0);  // dropped: the gate is the bench's "off" config
-  obs::set_histograms(true);
-  obs::observe(h, 2.0);
-  EXPECT_EQ(lookup(obs::snapshot(), "test.gated"), 1);
 }
 
 TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {

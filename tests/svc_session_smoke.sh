@@ -8,9 +8,10 @@
 # original optimum must return), exercise the @file edits form and the
 # structured errors (bad patch / unknown session -> exit 3 with a code),
 # confirm a cold submit of the base instance is served from the cache the
-# session populated, close the session (second close must fail), check
-# the stats counters, probe connect() retry (--retry N against a dead
-# socket exits 1 after N attempts), shut down gracefully, and validate
+# session populated, check the session counters through the metrics
+# verb, close the session (second close must fail), probe connect()
+# retry (--retry N against a dead socket exits 1 after N attempts), shut
+# down gracefully, and validate
 # the emitted trace with the schema checker (session census rules:
 # revise >= session_open, session_close <= session_open).
 #
@@ -33,7 +34,7 @@ rm -f "$SOCK" "$TRACE" "$LOG"
 
 # --- Connect retry against a socket nobody listens on -------------------
 
-RETRY_ERR=$("$CLIENT" --socket "$WORKDIR/nobody-home.sock" --retry 2 stats 2>&1)
+RETRY_ERR=$("$CLIENT" --socket "$WORKDIR/nobody-home.sock" --retry 2 metrics 2>&1)
 RC=$?
 [ $RC -eq 1 ] || fail "--retry against dead socket exited $RC (want 1)"
 case "$RETRY_ERR" in
@@ -157,21 +158,20 @@ case "$COLD" in
   *) fail "cached cold answer disagrees with the session optimum: $COLD" ;;
 esac
 
-STATS=$("$CLIENT" --socket "$SOCK" stats) || fail "stats verb failed"
-echo "stats:    $STATS"
-case "$STATS" in
-  *'"sessions_opened":1'*) ;;
-  *) fail "stats lack the session-open count: $STATS" ;;
+METRICS=$("$CLIENT" --socket "$SOCK" metrics) || fail "metrics verb failed"
+case "$METRICS" in
+  *'"svc.sessions.opened":{"kind":"counter","value":1}'*) ;;
+  *) fail "metrics lack the session-open count: $METRICS" ;;
 esac
 # Only revises that reached a live session count: the bad patch was
 # rejected at parse and the unknown session never resolved.
-case "$STATS" in
-  *'"revises":3'*) ;;
-  *) fail "stats revise count wrong (want 3): $STATS" ;;
+case "$METRICS" in
+  *'"svc.revises":{"kind":"counter","value":3}'*) ;;
+  *) fail "metrics revise count wrong (want 3): $METRICS" ;;
 esac
-case "$STATS" in
-  *'"active_sessions":1'*) ;;
-  *) fail "stats lack the live session: $STATS" ;;
+case "$METRICS" in
+  *'"res.svc.sessions.items":{"kind":"level","value":1}'*) ;;
+  *) fail "metrics lack the live session: $METRICS" ;;
 esac
 
 # --- Close: idempotence is an error, not a silent success ---------------

@@ -2,9 +2,10 @@
 # End-to-end smoke test for the allocation service: start alloc_serve on a
 # Unix socket with tracing and periodic metrics snapshots, submit the same
 # problem twice through alloc_client (the second submission must be served
-# from the canonical-instance cache), check the stats counters, scrape the
-# metrics verb in Prometheus text format, inspect a finished request and
-# replay its flight-recorder records through the dump verb, probe the
+# from the canonical-instance cache), check the registry's cache counter
+# and scrape it in Prometheus text format through the metrics verb, read
+# a finished request's job view through the status verb and replay its
+# flight-recorder records through the dump verb, probe the
 # structured error answers (unknown verb / unknown id -> exit 3 with a
 # machine-readable "code"), force a deadline miss on a slow instance and
 # check its post-mortem flight dump, shut the daemon down gracefully,
@@ -76,16 +77,14 @@ case "$SECOND" in
   *) fail "second response was not served from the cache: $SECOND" ;;
 esac
 
-STATS=$("$CLIENT" --socket "$SOCK" stats) || fail "stats verb failed"
-echo "stats:  $STATS"
-case "$STATS" in
-  *'"cache_hits":1'*) ;;
-  *) fail "expected exactly one cache hit in $STATS" ;;
-esac
-
-# Metrics verb: the raw snapshot must be well-formed JSON with histogram
-# entries, and --prom must render scrapeable Prometheus text exposition.
+# Metrics verb: the raw snapshot must be well-formed JSON carrying the
+# service counters and histogram entries, and --prom must render
+# scrapeable Prometheus text exposition.
 METRICS=$("$CLIENT" --socket "$SOCK" metrics) || fail "metrics verb failed"
+case "$METRICS" in
+  *'"svc.cache.hits":{"kind":"counter","value":1}'*) ;;
+  *) fail "expected exactly one cache hit in $METRICS" ;;
+esac
 case "$METRICS" in
   *'"ok":true'*'"svc.request_ms"'*'"kind":"histogram"'*) ;;
   *) fail "metrics response lacks the request-latency histogram: $METRICS" ;;
@@ -109,13 +108,13 @@ esac
 FIRST_ID=$(printf '%s\n' "$FIRST" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$FIRST_ID" ] || fail "cannot extract request id from $FIRST"
 
-# inspect: the finished job reports its terminal phase plus the answer.
-INSPECT=$("$CLIENT" --socket "$SOCK" inspect "$FIRST_ID") \
-  || fail "inspect verb failed"
-echo "inspect: $INSPECT"
-case "$INSPECT" in
+# status: the finished job reports its terminal phase plus the answer.
+STATUS=$("$CLIENT" --socket "$SOCK" status "$FIRST_ID") \
+  || fail "status verb failed"
+echo "status: $STATUS"
+case "$STATUS" in
   *'"ok":true'*'"phase":"finished"'*'"status":"optimal"'*) ;;
-  *) fail "inspect response malformed: $INSPECT" ;;
+  *) fail "status response malformed: $STATUS" ;;
 esac
 
 # dump ID: the flight recorder replays that request's solve records even

@@ -74,6 +74,30 @@ alloc::Problem parse(const std::string& text) {
   return alloc::parse_problem(in);
 }
 
+/// Current registry value of `name` (0 before its first use).
+std::int64_t metric(const std::string& name) {
+  for (const obs::MetricValue& m : obs::snapshot()) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
+}
+
+/// The registry is process-wide, so tests read changes around their own
+/// calls: delta(name) is how far `name` moved since construction.
+class RegistryDelta {
+ public:
+  RegistryDelta() {
+    for (const obs::MetricValue& m : obs::snapshot()) base_[m.name] = m.value;
+  }
+  std::int64_t operator()(const std::string& name) const {
+    const auto it = base_.find(name);
+    return metric(name) - (it == base_.end() ? 0 : it->second);
+  }
+
+ private:
+  std::map<std::string, std::int64_t> base_;
+};
+
 // --- Fingerprinting ----------------------------------------------------
 
 TEST(Fingerprint, PermutationInvariant) {
@@ -168,6 +192,7 @@ TEST(Fingerprint, CanonicalAllocationInvertsRestore) {
 }
 
 TEST(ResultCache, HitMissAndLruEviction) {
+  const RegistryDelta delta;
   ResultCache cache(/*capacity=*/2, /*shards=*/1);
   CachedAnswer a;
   a.cost = 1;
@@ -185,13 +210,12 @@ TEST(ResultCache, HitMissAndLruEviction) {
   EXPECT_FALSE(cache.get({2, 2}, "two").has_value());
   EXPECT_TRUE(cache.get({1, 1}, "one").has_value());
   EXPECT_TRUE(cache.get({3, 3}, "three").has_value());
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(delta("res.svc.cache.items"), 2);
 
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 3u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(delta("svc.cache.insertions"), 3);
+  EXPECT_EQ(delta("svc.cache.evictions"), 1);
+  EXPECT_EQ(delta("svc.cache.hits"), 3);
+  EXPECT_EQ(delta("svc.cache.misses"), 1);
 }
 
 TEST(ResultCache, CollisionDegradesToMiss) {
@@ -205,48 +229,35 @@ TEST(ResultCache, CollisionDegradesToMiss) {
   EXPECT_TRUE(cache.get({42, 1}, "text-a").has_value());
 }
 
-/// Current registry level of the "svc.cache" resource.
-obs::ResourceValue cache_resource() {
-  for (const auto& r : obs::resource_snapshot()) {
-    if (r.name == "svc.cache") return r;
-  }
-  return {};
-}
-
 TEST(ResultCache, AccountsBytesAndShardOccupancy) {
-  const obs::ResourceValue before = cache_resource();
+  const RegistryDelta delta;
   {
+    // One shard: its occupancy is the whole res.svc.cache level.
     ResultCache cache(/*capacity=*/2, /*shards=*/1);
-    EXPECT_EQ(cache.bytes(), 0u);
+    EXPECT_EQ(delta("res.svc.cache.bytes"), 0);
     CachedAnswer a;
     a.cost = 1;
     a.allocation.task_ecu = {0, 1, 0};
     cache.put({1, 1}, "one", a);
     cache.put({2, 2}, "twotwo", a);
-    EXPECT_GT(cache.bytes(), 0u);
-    const auto occupancy = cache.shard_occupancy();
-    ASSERT_EQ(occupancy.size(), 1u);
-    EXPECT_EQ(occupancy[0].entries, 2u);
-    EXPECT_EQ(occupancy[0].capacity, 2u);
-    EXPECT_EQ(occupancy[0].bytes, cache.bytes());
+    const std::int64_t two_entries = delta("res.svc.cache.bytes");
+    EXPECT_GT(two_entries, 0);
+    EXPECT_EQ(delta("res.svc.cache.items"), 2);
 
     // Eviction keeps bytes in step with entries: the byte count after
-    // insert+evict equals the two survivors' footprints.
-    const std::size_t before_evict = cache.bytes();
+    // insert+evict is the two survivors' footprints.
     cache.put({3, 3}, "three", a);
-    EXPECT_EQ(cache.shard_occupancy()[0].entries, 2u);
-    EXPECT_NE(cache.bytes(), 0u);
-    EXPECT_LE(cache.bytes(), before_evict + 1024);
-
-    const obs::ResourceValue during = cache_resource();
-    EXPECT_EQ(during.bytes - before.bytes,
-              static_cast<std::int64_t>(cache.bytes()));
-    EXPECT_EQ(during.items - before.items, 2);
+    EXPECT_EQ(delta("res.svc.cache.items"), 2);
+    EXPECT_GT(delta("res.svc.cache.bytes"), 0);
+    EXPECT_LE(delta("res.svc.cache.bytes"), two_entries + 1024);
+    // Refreshing an entry in place changes its bytes, not the count.
+    cache.put({3, 3}, std::string(100, 't'), a);
+    EXPECT_EQ(delta("res.svc.cache.items"), 2);
+    EXPECT_GT(delta("res.svc.cache.bytes"), two_entries);
   }
   // Destruction retracts the cache's whole footprint from the registry.
-  const obs::ResourceValue after = cache_resource();
-  EXPECT_EQ(after.bytes, before.bytes);
-  EXPECT_EQ(after.items, before.items);
+  EXPECT_EQ(delta("res.svc.cache.bytes"), 0);
+  EXPECT_EQ(delta("res.svc.cache.items"), 0);
 }
 
 // --- Scheduler ---------------------------------------------------------
@@ -259,6 +270,7 @@ SchedulerOptions quick_options(int workers = 2) {
 }
 
 TEST(Scheduler, SolvesAndServesPermutedResubmitFromCache) {
+  const RegistryDelta delta;
   Scheduler scheduler(quick_options());
 
   JobRequest first;
@@ -296,16 +308,16 @@ TEST(Scheduler, SolvesAndServesPermutedResubmitFromCache) {
   ASSERT_TRUE(cost.has_value());
   EXPECT_EQ(*cost, snap2->answer.cost);
 
-  const ServiceStats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(delta("svc.requests"), 2);
+  EXPECT_EQ(delta("svc.completed"), 2);
+  EXPECT_EQ(delta("svc.cache.hits"), 1);
   scheduler.shutdown(/*drain=*/true);
 }
 
 TEST(Scheduler, DeadlineExpiryReturnsIncumbentWithLowerBound) {
   SchedulerOptions options = quick_options(1);
   options.anneal_iterations = 20000;  // make sure there IS an incumbent
+  const RegistryDelta delta;
   Scheduler scheduler(options);
 
   JobRequest request;
@@ -326,7 +338,7 @@ TEST(Scheduler, DeadlineExpiryReturnsIncumbentWithLowerBound) {
   EXPECT_TRUE(rt::verify(request.problem.tasks, request.problem.arch,
                          snap->answer.allocation)
                   .feasible);
-  EXPECT_EQ(scheduler.stats().deadline_expired, 1u);
+  EXPECT_EQ(delta("svc.deadline_expired"), 1);
   scheduler.shutdown(true);
 }
 
@@ -367,6 +379,7 @@ TEST(Scheduler, CancelMidSolveFreesTheWorker) {
 TEST(Scheduler, BoundedQueueRejectsOverflow) {
   SchedulerOptions options = quick_options(1);
   options.queue_capacity = 1;
+  const RegistryDelta delta;
   Scheduler scheduler(options);
 
   JobRequest busy;
@@ -389,7 +402,8 @@ TEST(Scheduler, BoundedQueueRejectsOverflow) {
   bounced.problem = workload::tindell_prefix(28);
   bounced.objective = alloc::Objective::ring_trt(0);
   EXPECT_FALSE(scheduler.submit(bounced).has_value());
-  EXPECT_EQ(scheduler.stats().rejected, 1u);
+  EXPECT_EQ(delta("svc.rejected"), 1);
+  EXPECT_EQ(delta("svc.requests"), 2);  // a bounced submit is no request
 
   scheduler.cancel(*running);
   scheduler.cancel(*waiting);
@@ -408,7 +422,7 @@ TEST(Scheduler, BoundedQueueRejectsOverflow) {
 
 // submit() used to publish the job (jobs_.emplace / queue_.push_back)
 // and only then assign ctx.req and queue_span — so a worker claiming the
-// job immediately, or a concurrent inspect(), read those fields while
+// job immediately, or a concurrent status(), read those fields while
 // submit() was still writing them. Both are now assigned before the job
 // is reachable by anyone else. Distinct instances per submission keep
 // the cache out of the way (a hit would complete the job inline and
@@ -419,20 +433,16 @@ TEST(SchedulerRace, SubmitVsWorkerAndInspectAssignsBeforePublication) {
   std::vector<std::string> ids;
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> known{0};
-  // Two readers hammer inspect/status/request_trace_id on every id the
-  // submitter has published so far, racing the workers and finalize().
+  // Two readers hammer status() on every id the submitter has published
+  // so far, racing the workers and finalize().
   std::vector<std::string> shared_ids(64);
   auto reader = [&]() {
     while (!stop.load(std::memory_order_acquire)) {
       const std::size_t n = known.load(std::memory_order_acquire);
       for (std::size_t i = 0; i < n; ++i) {
-        const auto live = scheduler.inspect(shared_ids[i]);
+        const auto live = scheduler.status(shared_ids[i]);
         ASSERT_TRUE(live.has_value());
         EXPECT_NE(live->req, 0u);  // assigned before publication
-        const auto req = scheduler.request_trace_id(shared_ids[i]);
-        ASSERT_TRUE(req.has_value());
-        EXPECT_NE(*req, 0u);
-        scheduler.status(shared_ids[i]);
       }
     }
   };
@@ -471,6 +481,7 @@ TEST(SchedulerRace, SubmitVsWorkerAndInspectAssignsBeforePublication) {
 // typically terminates. It is now serialized by a dedicated shutdown
 // mutex held across the drain + join, with mu_ free so workers progress.
 TEST(SchedulerRace, ConcurrentShutdownJoinsWorkersExactlyOnce) {
+  const RegistryDelta delta;
   Scheduler scheduler(quick_options(2));
   for (int i = 0; i < 4; ++i) {
     JobRequest request;
@@ -484,9 +495,9 @@ TEST(SchedulerRace, ConcurrentShutdownJoinsWorkersExactlyOnce) {
   }
   for (auto& t : stoppers) t.join();
   scheduler.shutdown(true);  // still idempotent afterwards
-  const ServiceStats stats = scheduler.stats();
-  EXPECT_EQ(stats.completed + stats.cancelled, stats.submitted);
-  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(delta("svc.completed") + delta("svc.cancelled"),
+            delta("svc.requests"));
+  EXPECT_EQ(delta("res.svc.queue.items"), 0);
 }
 
 // --- Incremental sessions ----------------------------------------------
@@ -499,6 +510,7 @@ inc::InstancePatch ops_from_json(const std::string& json) {
 }
 
 TEST(SchedulerSession, OpenReviseCloseLifecycle) {
+  const RegistryDelta delta;
   Scheduler scheduler(quick_options(1));
 
   JobRequest open;
@@ -539,18 +551,16 @@ TEST(SchedulerSession, OpenReviseCloseLifecycle) {
   EXPECT_EQ(bad->status, "error");
   EXPECT_FALSE(bad->error.empty());
 
-  const ServiceStats mid = scheduler.stats();
-  EXPECT_EQ(mid.sessions_opened, 1u);
-  EXPECT_EQ(mid.active_sessions, 1u);
-  EXPECT_EQ(mid.revises, 3u);
+  EXPECT_EQ(delta("svc.sessions.opened"), 1);
+  EXPECT_EQ(delta("res.svc.sessions.items"), 1);
+  EXPECT_EQ(delta("svc.revises"), 3);
 
   EXPECT_TRUE(scheduler.session_close(sid));
   EXPECT_FALSE(scheduler.session_close(sid));
   EXPECT_FALSE(scheduler.session_revise(sid, inc::InstancePatch{}, 0.0, 0)
                    .has_value());
-  const ServiceStats end = scheduler.stats();
-  EXPECT_EQ(end.sessions_closed, 1u);
-  EXPECT_EQ(end.active_sessions, 0u);
+  EXPECT_EQ(delta("svc.sessions.closed"), 1);
+  EXPECT_EQ(delta("res.svc.sessions.items"), 0);
   scheduler.shutdown(/*drain=*/true);
 }
 
@@ -685,6 +695,63 @@ TEST(Protocol, ParsesRequestsAndRejectsGarbage) {
   EXPECT_FALSE(parse_request(R"({"verb":"submit"})", &error).has_value());
 }
 
+TEST(Protocol, IntegerFieldsMustBeWholeNumbersInRange) {
+  // Each would otherwise cast an untrusted double to an integer — undefined
+  // behaviour when out of range — or ask for more worker threads than the
+  // cap: all are refused at parse time with "bad_request".
+  const std::string over_cap = std::to_string(kMaxRequestThreads + 1);
+  for (const std::string& line : std::vector<std::string>{
+           R"({"verb":"submit","problem":"system 1","threads":1e12})",
+           R"({"verb":"submit","problem":"system 1","threads":1.5})",
+           R"({"verb":"submit","problem":"system 1","threads":0})",
+           R"({"verb":"submit","problem":"system 1","threads":)" + over_cap +
+               "}",
+           R"({"verb":"submit","problem":"system 1","conflicts":1e300})",
+           R"({"verb":"submit","problem":"system 1","conflicts":2.5})",
+           R"({"verb":"session_open","problem":"system 1","conflicts":-1e30})",
+           R"({"verb":"revise","session":"s1","edits":[],"conflicts":0.5})",
+           R"({"verb":"query","metric":"m","max_samples":1e25})",
+           R"({"verb":"query","metric":"m","max_samples":-3})"}) {
+    std::string error, code;
+    EXPECT_FALSE(parse_request(line, &error, &code).has_value()) << line;
+    EXPECT_EQ(code, "bad_request") << line;
+    EXPECT_NE(error.find("integer"), std::string::npos) << error;
+  }
+  // A number in an edit is the patch's to refuse.
+  std::string error, code;
+  EXPECT_FALSE(parse_request(
+                   R"({"verb":"revise","session":"s1","edits":[{"op":"set_wcet",)"
+                   R"("task":"a","ecu":1e12,"wcet":5}]})",
+                   &error, &code)
+                   .has_value());
+  EXPECT_EQ(code, "bad_patch");
+
+  // The cap itself and large whole budgets still parse.
+  const auto at_cap = parse_request(
+      R"({"verb":"submit","problem":"system 1","conflicts":1e15,"threads":)" +
+          std::to_string(kMaxRequestThreads) + "}",
+      &error, &code);
+  ASSERT_TRUE(at_cap.has_value()) << error;
+  EXPECT_EQ(at_cap->threads, kMaxRequestThreads);
+  EXPECT_EQ(at_cap->conflicts, std::int64_t{1000000000000000});
+
+  // Through the server: refused before any job exists.
+  const RegistryDelta delta;
+  ServerOptions options;
+  options.scheduler = quick_options(1);
+  Server server(options);
+  const auto refused = obs::json_parse(server.handle_line(
+      obs::JsonObject()
+          .str("verb", "submit")
+          .str("problem", kSystem)
+          .raw("conflicts", "2.5")
+          .build()));
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_FALSE(refused->get("ok")->b);
+  EXPECT_EQ(refused->get_string("code"), "bad_request");
+  EXPECT_EQ(delta("svc.requests"), 0);
+}
+
 TEST(Protocol, ResponseLinesAreWellFormedJson) {
   JobSnapshot snap;
   snap.id = "r1";
@@ -708,7 +775,6 @@ TEST(Protocol, ResponseLinesAreWellFormedJson) {
   EXPECT_EQ(ecus->array.size(), 3u);
 
   EXPECT_TRUE(obs::json_parse(error_line(R"(bad "quoted" input)")).has_value());
-  EXPECT_TRUE(obs::json_parse(stats_line(ServiceStats{})).has_value());
 
   // The metrics verb's response wraps the full typed registry snapshot.
   const auto metrics = obs::json_parse(metrics_line());
@@ -734,18 +800,17 @@ TEST(Protocol, ErrorCodesClassifyParseFailures) {
       parse_request(R"({"verb":"status"})", &error, &code).has_value());
   EXPECT_EQ(code, "bad_request");  // id-verbs without an id
   EXPECT_FALSE(
-      parse_request(R"({"verb":"inspect"})", &error, &code).has_value());
-  EXPECT_EQ(code, "bad_request");
-  EXPECT_FALSE(
       parse_request(R"({"verb":"submit"})", &error, &code).has_value());
   EXPECT_EQ(code, "bad_request");
 
-  // inspect with an id parses; dump's id is optional (absent = all rings).
-  const auto inspect =
-      parse_request(R"({"verb":"inspect","id":"r1"})", &error, &code);
-  ASSERT_TRUE(inspect.has_value()) << error;
-  EXPECT_EQ(inspect->verb, Request::Verb::kInspect);
-  EXPECT_EQ(inspect->id, "r1");
+  // There is no stats or inspect verb (metrics and status answer for
+  // them); dump's id is optional (absent = all rings).
+  EXPECT_FALSE(
+      parse_request(R"({"verb":"stats"})", &error, &code).has_value());
+  EXPECT_EQ(code, "unknown_verb");
+  EXPECT_FALSE(parse_request(R"({"verb":"inspect","id":"r1"})", &error, &code)
+                   .has_value());
+  EXPECT_EQ(code, "unknown_verb");
   const auto dump = parse_request(R"({"verb":"dump"})", &error, &code);
   ASSERT_TRUE(dump.has_value()) << error;
   EXPECT_EQ(dump->verb, Request::Verb::kDump);
@@ -816,11 +881,13 @@ TEST(Server, HandlesFullRequestLifecycle) {
   EXPECT_FALSE(unknown->get("ok")->b);
   EXPECT_FALSE(obs::json_parse(server.handle_line("][nonsense"))->get("ok")->b);
 
-  // Stats reflect the cache hit.
-  const auto stats = obs::json_parse(
-      server.handle_line(R"({"verb":"stats"})"));
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GE(*stats->get_number("cache_hits"), 1.0);
+  // The metrics verb reflects the cache hit.
+  const auto metrics = obs::json_parse(
+      server.handle_line(R"({"verb":"metrics"})"));
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_GE(*metrics->get("metrics")->get("svc.cache.hits")->get_number(
+                "value"),
+            1.0);
 
   // Shutdown verb acknowledges and flips the stop flag.
   EXPECT_FALSE(server.stop_requested());
@@ -888,12 +955,12 @@ TEST(Server, OverlongRequestLineIsRefusedOverASocket) {
   // The server itself is still answering.
   const int fd = connect_unix(path);
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(send_line(fd, R"({"verb":"stats"})"));
+  ASSERT_TRUE(send_line(fd, R"({"verb":"metrics"})"));
   buffer.clear();
   ASSERT_TRUE(recv_line(fd, buffer, line));
-  const auto stats = obs::json_parse(line);
-  ASSERT_TRUE(stats.has_value()) << line;
-  EXPECT_TRUE(stats->get("ok")->b);
+  const auto reply = obs::json_parse(line);
+  ASSERT_TRUE(reply.has_value()) << line;
+  EXPECT_TRUE(reply->get("ok")->b);
   ::close(fd);
 }
 
@@ -989,7 +1056,7 @@ TEST(Server, SessionVerbsLifecycle) {
   EXPECT_EQ(closed_again->get_string("code"), "unknown_session");
 }
 
-TEST(Server, InspectAndDumpVerbs) {
+TEST(Server, StatusAndDumpVerbs) {
   obs::flight_reset();
   ServerOptions options;
   options.scheduler = quick_options(1);
@@ -997,7 +1064,7 @@ TEST(Server, InspectAndDumpVerbs) {
 
   // Both verbs reject ids the scheduler has never seen.
   const auto missing = obs::json_parse(
-      server.handle_line(R"({"verb":"inspect","id":"r999"})"));
+      server.handle_line(R"({"verb":"status","id":"r999"})"));
   EXPECT_FALSE(missing->get("ok")->b);
   EXPECT_EQ(missing->get_string("code"), "unknown_id");
   const auto no_dump =
@@ -1011,20 +1078,22 @@ TEST(Server, InspectAndDumpVerbs) {
   const auto id = done->get_string("id");
   ASSERT_TRUE(id.has_value());
 
-  // inspect on a finished job: terminal phase, the proven interval has
-  // collapsed, and the answer's status fields ride along.
-  const auto insp = obs::json_parse(server.handle_line(
-      obs::JsonObject().str("verb", "inspect").str("id", *id).build()));
-  ASSERT_TRUE(insp.has_value());
-  EXPECT_TRUE(insp->get("ok")->b);
-  EXPECT_EQ(insp->get_string("id"), *id);
-  EXPECT_EQ(insp->get_string("state"), "done");
-  EXPECT_EQ(insp->get_string("phase"), "finished");
-  EXPECT_GE(*insp->get_number("elapsed_ms"), 0.0);
-  EXPECT_EQ(insp->get_string("status"), "optimal");
-  EXPECT_TRUE(insp->get("proven_optimal")->b);
-  EXPECT_EQ(insp->get_number("upper"), insp->get_number("cost"));
-  const auto req_field = insp->get_number("req");
+  // status on a finished job: terminal phase, the effort spent, and the
+  // answer in place of the live interval.
+  const auto view = obs::json_parse(server.handle_line(
+      obs::JsonObject().str("verb", "status").str("id", *id).build()));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->get("ok")->b);
+  EXPECT_EQ(view->get_string("id"), *id);
+  EXPECT_EQ(view->get_string("state"), "done");
+  EXPECT_EQ(view->get_string("phase"), "finished");
+  EXPECT_GE(*view->get_number("elapsed_ms"), 0.0);
+  EXPECT_EQ(view->get_number("elapsed_ms"), view->get_number("total_ms"));
+  EXPECT_GE(*view->get_number("sat_calls"), 1.0);
+  EXPECT_EQ(view->get_string("status"), "optimal");
+  EXPECT_TRUE(view->get("proven_optimal")->b);
+  EXPECT_EQ(view->get("upper"), nullptr);
+  const auto req_field = view->get_number("req");
   ASSERT_TRUE(req_field.has_value());
   EXPECT_GT(*req_field, 0.0);
 
@@ -1062,11 +1131,11 @@ TEST(Scheduler, InspectTracksLifecyclePhases) {
   const auto id = scheduler.submit(request);
   ASSERT_TRUE(id.has_value());
 
-  // Before the worker finishes, inspect must answer lock-free with a
+  // Before the worker finishes, status must answer lock-free with a
   // non-terminal phase and a widening-at-worst interval.
   std::set<std::string> phases;
   for (int i = 0; i < 4000; ++i) {
-    const auto ins = scheduler.inspect(*id);
+    const auto ins = scheduler.status(*id);
     ASSERT_TRUE(ins.has_value());
     phases.insert(job_phase_name(ins->phase));
     if (ins->phase == JobPhase::kSolving && ins->sat_calls > 0) break;
@@ -1078,13 +1147,13 @@ TEST(Scheduler, InspectTracksLifecyclePhases) {
   EXPECT_TRUE(scheduler.cancel(*id));
   const auto final_snap = scheduler.wait(*id, 60.0);
   ASSERT_TRUE(final_snap.has_value());
-  const auto ins = scheduler.inspect(*id);
+  const auto ins = scheduler.status(*id);
   ASSERT_TRUE(ins.has_value());
   EXPECT_EQ(ins->phase, JobPhase::kFinished);
   EXPECT_EQ(ins->state, JobState::kCancelled);
-  EXPECT_FALSE(scheduler.inspect("bogus").has_value());
-  EXPECT_FALSE(scheduler.request_trace_id("bogus").has_value());
-  EXPECT_EQ(scheduler.request_trace_id(*id).value_or(0), ins->req);
+  EXPECT_EQ(ins->req, final_snap->req);
+  EXPECT_NE(ins->req, 0u);
+  EXPECT_FALSE(scheduler.status("bogus").has_value());
   scheduler.shutdown(true);
 }
 
@@ -1230,30 +1299,34 @@ TEST(Trace, ServiceLifecycleEventsAreEmitted) {
 
 TEST(Scheduler, StatsReportUptimeAndStartTime) {
   const std::int64_t t0 = obs::wall_unix_ms();
-  Scheduler scheduler(quick_options(1));
+  Scheduler scheduler(quick_options(3));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const ServiceStats stats = scheduler.stats();
-  EXPECT_GT(stats.uptime_s, 0.0);
-  EXPECT_LT(stats.uptime_s, 60.0);
-  EXPECT_GE(stats.start_time_unix_ms, t0 - 1000);
-  EXPECT_LE(stats.start_time_unix_ms, obs::wall_unix_ms() + 1000);
+  // The registry carries the service's birth on the wall clock and its
+  // worker count; uptime is any reader's own clock minus the start.
+  const std::int64_t start = metric("svc.start_time_unix_ms");
+  EXPECT_GE(start, t0 - 1000);
+  EXPECT_LE(start, obs::wall_unix_ms() + 1000);
+  EXPECT_EQ(metric("svc.workers"), 3);
+  const double uptime = (obs::wall_unix_ms() - start) / 1000.0;
+  EXPECT_GT(uptime, 0.0);
+  EXPECT_LT(uptime, 60.0);
 
-  const double first = stats.uptime_s;
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  const ServiceStats later = scheduler.stats();
-  EXPECT_GT(later.uptime_s, first);
-  EXPECT_EQ(later.start_time_unix_ms, stats.start_time_unix_ms);
-  scheduler.shutdown(/*drain=*/true);
-}
-
-TEST(Protocol, StatsLineCarriesUptimeFields) {
-  ServiceStats stats;
-  stats.uptime_s = 12.5;
-  stats.start_time_unix_ms = 1700000000123;
-  const auto doc = obs::json_parse(stats_line(stats));
+  // The same gauges travel on the wire through the metrics verb.
+  const auto doc = obs::json_parse(metrics_line());
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->get_number("uptime_s"), 12.5);
-  EXPECT_EQ(doc->get_number("start_time_unix_ms"), 1700000000123.0);
+  const obs::JsonValue* gauges = doc->get("metrics");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_EQ(gauges->get("svc.start_time_unix_ms")->get_string("kind"),
+            "gauge");
+  EXPECT_EQ(gauges->get("svc.start_time_unix_ms")->get_number("value"),
+            static_cast<double>(start));
+  EXPECT_EQ(gauges->get("svc.workers")->get_number("value"), 3.0);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_GT((obs::wall_unix_ms() - metric("svc.start_time_unix_ms")) / 1000.0,
+            uptime);
+  EXPECT_EQ(metric("svc.start_time_unix_ms"), start);
+  scheduler.shutdown(/*drain=*/true);
 }
 
 TEST(Protocol, QueryVerbParsesAndSerializes) {

@@ -5,9 +5,9 @@
 //
 //   submit FILE [OBJECTIVE] [--deadline MS] [--conflicts N]
 //          [--threads N] [--wait]
-//   status ID | result ID | cancel ID | inspect ID
+//   status ID | result ID | cancel ID
 //   dump [ID]                     # flight-recorder events
-//   stats | metrics [--prom]
+//   metrics [--prom]
 //   query [METRIC] [--last S] [--max-samples N]
 //                                 # time-series: catalogue, or one
 //                                 # series' [unix_ms, value] samples
@@ -59,7 +59,7 @@ int usage() {
          " [--retry N] VERB ...\n"
       << "  submit FILE [OBJECTIVE] [--deadline MS] [--conflicts N]\n"
       << "         [--threads N] [--wait]\n"
-      << "  status ID | result ID | cancel ID | inspect ID | stats\n"
+      << "  status ID | result ID | cancel ID\n"
       << "  session-open FILE [OBJECTIVE] [--deadline MS] [--conflicts N]\n"
       << "  revise SESSION EDITS_JSON|@FILE\n"
       << "  session-close SESSION\n"
@@ -257,8 +257,7 @@ int main(int argc, char** argv) {
     const char* session = next();
     if (session == nullptr) return usage();
     request.str("verb", "session_close").str("session", session);
-  } else if (verb == "status" || verb == "result" || verb == "cancel" ||
-             verb == "inspect") {
+  } else if (verb == "status" || verb == "result" || verb == "cancel") {
     const char* id = next();
     if (id == nullptr) return usage();
     request.str("verb", verb).str("id", id);
@@ -269,8 +268,6 @@ int main(int argc, char** argv) {
     const char* line = next();
     if (line == nullptr) return usage();
     raw_line = line;
-  } else if (verb == "stats") {
-    request.str("verb", "stats");
   } else if (verb == "metrics") {
     request.str("verb", "metrics");
     if (const char* a = next()) {

@@ -12,7 +12,7 @@
 // SIGTERM / SIGINT trigger a graceful drain: no new requests are
 // accepted, every queued job still gets its answer, the trace sink is
 // flushed and closed, then the process exits 0. --stats prints the
-// service counters on exit. --metrics-interval S drives the sampler
+// metrics registry on exit. --metrics-interval S drives the sampler
 // thread every S seconds: each tick records the whole registry into the
 // in-process time-series rings (the `query` verb / alloc_top's data),
 // checks the armed resource watermarks, and — while tracing is on —
@@ -240,11 +240,7 @@ int main(int argc, char** argv) {
     snapshot_stop.store(true, std::memory_order_relaxed);
     snapshotter.join();
   }
-  if (print_stats) {
-    const auto stats = server.scheduler().stats();
-    std::cout << optalloc::svc::stats_line(stats) << "\n";
-    std::cout << optalloc::obs::render_metrics();
-  }
+  if (print_stats) std::cout << optalloc::obs::render_metrics();
   // The sink is process-global and deliberately leaked; without this
   // explicit flush+close the tail of the trace (the drain's last events)
   // would be lost in the ofstream buffer.

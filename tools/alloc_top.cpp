@@ -1,23 +1,28 @@
 // Terminal capacity dashboard for a running alloc_serve: polls the
-// stats + query verbs and renders queue depth, worker utilization, cache
-// occupancy, session dead-guard fraction, arena bytes and latency
-// sparklines — curses-free, plain ANSI, usable over ssh.
+// metrics verb and renders queue depth, worker utilization, cache
+// occupancy, session dead-guard fraction, arena bytes and latency —
+// curses-free, plain ANSI, usable over ssh.
 //
 //   alloc_top --socket PATH [--interval S] [--window S] [--once]
 //   alloc_top --tcp HOST PORT ...
 //
 // --once prints a single frame and exits (scripting / CI assertions);
 // otherwise the screen is redrawn every --interval seconds (default 2)
-// until interrupted. --window W sets the sparkline time window (default
-// 60 s). The time-series rows need the daemon's sampler running (start
-// alloc_serve with --metrics-interval); without it the dashboard still
-// renders the stats-verb counters and says what is missing.
+// until interrupted. Every number comes live from the metrics registry;
+// only the two latency sparklines (time window --window W, default 60 s)
+// come from the query verb, and they need the daemon's sampler running
+// (start alloc_serve with --metrics-interval) — without it the frame
+// says what is missing. Uptime is this host's wall clock minus the
+// service's svc.start_time_unix_ms: the daemon listens only on a Unix
+// socket or loopback TCP, so both clocks are the same.
 //
 // Output is line-oriented `key=value` so the smoke test (and any shell)
 // can scrape it: e.g. `arena bytes=147456 wasted=1024 learnts=37`.
 //
 // Exit codes: 0 rendered at least one frame; 1 connect/protocol error;
 // 2 usage.
+
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -29,11 +34,16 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "svc/client.hpp"
 
 namespace {
 
+using optalloc::obs::HistBucket;
 using optalloc::obs::JsonValue;
+using optalloc::obs::MetricValue;
+using optalloc::obs::histogram_quantile;
 
 int usage() {
   std::cerr << "usage: alloc_top (--socket PATH | --tcp HOST PORT)\n"
@@ -69,26 +79,6 @@ std::optional<JsonValue> roundtrip(int fd, std::string& buffer,
   auto doc = optalloc::obs::json_parse(response);
   if (!doc || !doc->is_object()) return std::nullopt;
   return doc;
-}
-
-double num_or(const JsonValue& doc, std::string_view key, double dflt) {
-  return doc.get_number(key).value_or(dflt);
-}
-
-/// Latest value per series from the query catalogue.
-std::map<std::string, double> catalogue(const JsonValue& doc) {
-  std::map<std::string, double> last;
-  const JsonValue* series = doc.get("series");
-  if (series == nullptr || series->kind != JsonValue::Kind::kArray) {
-    return last;
-  }
-  for (const JsonValue& row : series->array) {
-    if (!row.is_object()) continue;
-    const auto name = row.get_string("metric");
-    if (!name) continue;
-    last[*name] = num_or(row, "last", 0.0);
-  }
-  return last;
 }
 
 std::vector<double> series_values(const JsonValue& doc) {
@@ -132,18 +122,22 @@ std::string fmt(const char* format, double v) {
 }
 
 /// Fetch everything and render one frame into `out`. False only when the
-/// connection or the stats verb failed (partial telemetry still renders).
+/// connection or the metrics verb failed (missing sparklines still render).
 bool render_frame(const Endpoint& endpoint, double window_s,
                   std::string& out) {
   const int fd = endpoint.connect();
   if (fd < 0) return false;
   std::string buffer;
-  const auto stats =
-      roundtrip(fd, buffer, "{\"verb\":\"stats\"}");
-  if (!stats) return false;
-  const auto list = roundtrip(fd, buffer, "{\"verb\":\"query\"}");
-  const std::map<std::string, double> last =
-      list ? catalogue(*list) : std::map<std::string, double>{};
+  const auto reply = roundtrip(fd, buffer, "{\"verb\":\"metrics\"}");
+  const JsonValue* doc = reply ? reply->get("metrics") : nullptr;
+  if (doc == nullptr) {
+    ::close(fd);
+    return false;
+  }
+  std::map<std::string, MetricValue> registry;
+  for (MetricValue& m : optalloc::obs::metrics_from_json(*doc)) {
+    registry[m.name] = std::move(m);
+  }
   const auto window = fmt("%.0f", window_s);
   const auto fetch_series = [&](const std::string& metric) {
     const auto doc = roundtrip(
@@ -153,17 +147,27 @@ bool render_frame(const Endpoint& endpoint, double window_s,
   };
   const std::vector<double> p50 = fetch_series("svc.request_ms.p50");
   const std::vector<double> p99 = fetch_series("svc.request_ms.p99");
+  ::close(fd);
 
-  const double uptime = num_or(*stats, "uptime_s", 0.0);
-  const double workers = num_or(*stats, "workers", 1.0);
-  const double hits = num_or(*stats, "cache_hits", 0.0);
-  const double misses = num_or(*stats, "cache_misses", 0.0);
-  const double lookups = hits + misses;
-  const auto get = [&last](const char* name) {
-    const auto it = last.find(name);
-    return it != last.end() ? it->second : 0.0;
+  const MetricValue none;
+  const auto metric = [&](const char* name) -> const MetricValue& {
+    const auto it = registry.find(name);
+    return it != registry.end() ? it->second : none;
   };
-  const double solve_s = get("svc.time.solve.seconds");
+  const auto get = [&](const char* name) {
+    return static_cast<double>(metric(name).value);
+  };
+  const double start_ms = get("svc.start_time_unix_ms");
+  const double uptime =
+      start_ms > 0.0
+          ? (static_cast<double>(optalloc::obs::wall_unix_ms()) - start_ms) /
+                1000.0
+          : 0.0;
+  const double workers = get("svc.workers");
+  const double hits = get("svc.cache.hits");
+  const double misses = get("svc.cache.misses");
+  const double lookups = hits + misses;
+  const double solve_s = metric("svc.time.solve").seconds;
   const double utilization =
       uptime > 0.0 && workers > 0.0
           ? std::min(1.0, solve_s / (uptime * workers))
@@ -171,18 +175,23 @@ bool render_frame(const Endpoint& endpoint, double window_s,
   const double guards = get("res.inc.guards.items");
   const double dead = get("res.inc.dead_guards.items");
   const double guard_total = guards + dead;
+  const std::vector<HistBucket>& latency = metric("svc.request_ms").buckets;
+  // The top non-empty bucket bounds the slowest request from above.
+  const double max_ms = latency.empty()                 ? 0.0
+                        : std::isinf(latency.back().hi) ? latency.back().lo
+                                                        : latency.back().hi;
 
   out.clear();
   out += "alloc_top " + endpoint.describe() +
          "  uptime=" + fmt("%.1f", uptime) + "s" +
          "  workers=" + fmt("%.0f", workers) + "\n";
-  out += "requests   submitted=" + fmt("%.0f", num_or(*stats, "submitted", 0)) +
-         " completed=" + fmt("%.0f", num_or(*stats, "completed", 0)) +
-         " rejected=" + fmt("%.0f", num_or(*stats, "rejected", 0)) +
-         " cancelled=" + fmt("%.0f", num_or(*stats, "cancelled", 0)) +
-         " deadline_expired=" +
-         fmt("%.0f", num_or(*stats, "deadline_expired", 0)) + "\n";
-  out += "queue      depth=" + fmt("%.0f", num_or(*stats, "queue_depth", 0)) +
+  out += "requests   submitted=" + fmt("%.0f", get("svc.requests")) +
+         " completed=" + fmt("%.0f", get("svc.completed")) +
+         " rejected=" + fmt("%.0f", get("svc.rejected")) +
+         " cancelled=" + fmt("%.0f", get("svc.cancelled")) +
+         " deadline_expired=" + fmt("%.0f", get("svc.deadline_expired")) +
+         "\n";
+  out += "queue      depth=" + fmt("%.0f", get("res.svc.queue.items")) +
          " bytes=" + fmt("%.0f", get("res.svc.queue.bytes")) + "\n";
   out += "workers    utilization=" + fmt("%.1f", utilization * 100.0) +
          "% solve_s=" + fmt("%.2f", solve_s) + "\n";
@@ -191,9 +200,8 @@ bool render_frame(const Endpoint& endpoint, double window_s,
          fmt("%.1f", lookups > 0 ? hits / lookups * 100.0 : 0.0) +
          "% entries=" + fmt("%.0f", get("res.svc.cache.items")) +
          " bytes=" + fmt("%.0f", get("res.svc.cache.bytes")) + "\n";
-  out += "sessions   active=" +
-         fmt("%.0f", num_or(*stats, "active_sessions", 0)) +
-         " revises=" + fmt("%.0f", num_or(*stats, "revises", 0)) +
+  out += "sessions   active=" + fmt("%.0f", get("res.svc.sessions.items")) +
+         " revises=" + fmt("%.0f", get("svc.revises")) +
          " guards=" + fmt("%.0f", guards) + " dead=" + fmt("%.0f", dead) +
          " dead_fraction=" +
          fmt("%.1f", guard_total > 0 ? dead / guard_total * 100.0 : 0.0) +
@@ -201,14 +209,14 @@ bool render_frame(const Endpoint& endpoint, double window_s,
   out += "arena      bytes=" + fmt("%.0f", get("res.sat.arena.bytes")) +
          " wasted=" + fmt("%.0f", get("res.sat.arena.wasted.bytes")) +
          " learnts=" + fmt("%.0f", get("res.sat.learnts.items")) + "\n";
-  out += "latency    p50=" + fmt("%.1f", num_or(*stats, "p50_ms", 0)) +
-         "ms p99=" + fmt("%.1f", num_or(*stats, "p99_ms", 0)) +
-         "ms max=" + fmt("%.1f", num_or(*stats, "max_ms", 0)) + "ms\n";
+  out += "latency    p50=" + fmt("%.1f", histogram_quantile(latency, 0.50)) +
+         "ms p99=" + fmt("%.1f", histogram_quantile(latency, 0.99)) +
+         "ms max=" + fmt("%.1f", max_ms) + "ms\n";
   out += "p50_ms     [" + window + "s] " + sparkline(p50) +
          (p50.empty() ? "" : " last=" + fmt("%.1f", p50.back())) + "\n";
   out += "p99_ms     [" + window + "s] " + sparkline(p99) +
          (p99.empty() ? "" : " last=" + fmt("%.1f", p99.back())) + "\n";
-  if (last.empty()) {
+  if (p50.empty() && p99.empty()) {
     out += "(time-series empty: start alloc_serve with "
            "--metrics-interval S)\n";
   }
