@@ -80,12 +80,15 @@ int main() {
 
   run_variant(json, "no warm start", p, obj, base, false);
 
-  // Parallel portfolio (bisection + descending + PB racing on threads),
-  // warm-started like the single solves it is compared with.
+  // Parallel portfolio: three diversified copies of the baseline (worker 0
+  // runs it untouched, workers 1 and 2 vary search strategy and CDCL
+  // tuning) sharing clauses and bounds, warm-started like the single
+  // solves it is compared with.
   {
     alloc::PortfolioOptions popts;
+    popts.threads = 3;
     add_warm_start(p, obj, popts.base_config);
-    popts.time_limit_s = bench::budget_seconds();
+    popts.base_config.time_limit_s = bench::budget_seconds();
     Stopwatch sw;
     const auto res = alloc::optimize_portfolio(p, obj, popts);
     json.add_result("portfolio (3 threads)", res.best);

@@ -67,9 +67,7 @@ Row run_row(const alloc::Problem& problem, alloc::Objective objective,
     alloc::PortfolioOptions popts;
     popts.threads = workers;
     popts.base_config = base;
-    popts.time_limit_s = bench::budget_seconds();
-    popts.share_clauses = sharing;
-    popts.share_bounds = sharing;
+    popts.share = sharing;
     Stopwatch sw;
     alloc::PortfolioResult res =
         alloc::optimize_portfolio(problem, objective, popts);
@@ -122,6 +120,7 @@ int main() {
     sa_opts.iterations = bench::sa_iterations();
     const auto sa = heur::anneal(inst.problem, objective, sa_opts);
     alloc::OptimizeOptions base;
+    base.time_limit_s = bench::budget_seconds();
     if (sa.feasible) base.warm_start = sa.allocation;
 
     std::printf("\ninstance %s (%d tasks)\n", inst.name, tasks);

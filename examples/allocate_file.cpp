@@ -23,16 +23,14 @@
 // every search step (models on SAT, DRAT proofs on UNSAT, RT re-analysis
 // of the answer) and the exit status reflects the verdict; --proof FILE
 // additionally dumps the solver's proof log for the standalone
-// drat_check tool. --threads N (or --portfolio for an auto worker count)
-// runs the cooperative parallel portfolio: N diversified CDCL workers
-// exchanging learnt clauses and cost bounds (see README "Parallel
-// solving").
+// drat_check tool. --threads N (1 to 64) runs the cooperative parallel
+// portfolio: N diversified CDCL workers exchanging learnt clauses and
+// cost bounds (see README "Parallel solving").
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,6 +44,7 @@
 #include "alloc/portfolio.hpp"
 #include "heur/annealing.hpp"
 #include "rt/verify.hpp"
+#include "util/intmath.hpp"
 #include "sat/proof.hpp"
 
 using namespace optalloc;
@@ -57,7 +56,7 @@ int usage(const char* prog) {
                "usage: %s <file|-> [objective] [--time <seconds>] "
                "[--timeout <ms>] "
                "[--trace <file>] [--stats] [--report] [--dot] "
-               "[--certify] [--proof <file>] [--threads <n> | --portfolio] "
+               "[--certify] [--proof <file>] [--threads <n>] "
                "[--no-inprocess] [--inprocess-interval <conflicts>]\n",
                prog);
   return 2;
@@ -79,14 +78,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
       opts.time_limit_s = std::atof(argv[++i]) / 1000.0;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads wants a positive count\n");
+      const auto n = parse_int(argv[++i], 1, alloc::kMaxPortfolioThreads);
+      if (!n) {
+        std::fprintf(stderr,
+                     "error: --threads wants a whole number in [1, %d]\n",
+                     alloc::kMaxPortfolioThreads);
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = hw == 0 ? 4 : static_cast<int>(hw > 8 ? 8 : hw);
+      threads = static_cast<int>(*n);
     } else if (std::strcmp(argv[i], "--report") == 0) {
       want_report = true;
     } else if (std::strcmp(argv[i], "--dot") == 0) {
@@ -168,7 +167,6 @@ int main(int argc, char** argv) {
     alloc::PortfolioOptions popts;
     popts.threads = threads;
     popts.base_config = opts;
-    popts.time_limit_s = opts.time_limit_s;
     alloc::PortfolioResult pres =
         alloc::optimize_portfolio(problem, objective, popts);
     res = std::move(pres.best);

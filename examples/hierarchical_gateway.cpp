@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "alloc/optimizer.hpp"
@@ -20,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rt/verify.hpp"
+#include "util/intmath.hpp"
 
 using namespace optalloc;
 
@@ -34,14 +34,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--certify") == 0) {
       want_certify = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads wants a positive count\n");
+      const auto n = parse_int(argv[++i], 1, alloc::kMaxPortfolioThreads);
+      if (!n) {
+        std::fprintf(stderr,
+                     "error: --threads wants a whole number in [1, %d]\n",
+                     alloc::kMaxPortfolioThreads);
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = hw == 0 ? 4 : static_cast<int>(hw > 8 ? 8 : hw);
+      threads = static_cast<int>(*n);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       if (!obs::trace_open(argv[++i])) {
         std::fprintf(stderr, "error: cannot open trace file %s\n", argv[i]);

@@ -37,7 +37,6 @@ void apply_tuning(sat::Solver& solver, const SolverTuning& t) {
   solver.var_decay = t.var_decay;
   solver.restart_base = t.restart_base;
   solver.default_polarity = t.default_polarity;
-  solver.phase_saving = t.phase_saving;
   solver.random_branch_freq = t.random_branch_freq;
   if (t.seed != 0) solver.set_random_seed(t.seed);
 }
@@ -198,14 +197,9 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
       ++result.stats.bounds_published;
     }
   };
-  // Store the allocation first, then tighten the shared bound, so any
-  // worker observing the bound can fetch an allocation matching it.
+  // The shared interval stores the allocation before it drops its bound.
   auto announce_incumbent = [&](std::int64_t cost) {
-    if (!result.has_allocation) return;
-    if (options.publish_incumbent) {
-      options.publish_incumbent(cost, result.allocation);
-    }
-    if (interval != nullptr && interval->drop_upper(cost)) {
+    if (interval != nullptr && interval->offer(cost, result.allocation)) {
       ++result.stats.bounds_published;
     }
   };
@@ -220,17 +214,13 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
         adopted = true;
       }
     }
-    if (interval->upper() < upper && options.fetch_incumbent) {
-      if (auto inc = options.fetch_incumbent()) {
-        if (inc->first < upper) {
-          upper = inc->first;
-          result.cost = upper;
-          result.allocation = std::move(inc->second);
-          result.has_allocation = true;
-          ++result.stats.bounds_adopted;
-          adopted = true;
-        }
-      }
+    if (auto inc = interval->better_than(upper)) {
+      upper = inc->first;
+      result.cost = upper;
+      result.allocation = std::move(inc->second);
+      result.has_allocation = true;
+      ++result.stats.bounds_adopted;
+      adopted = true;
     }
     if (adopted && obs::trace_enabled()) {
       obs::TraceEvent("bound_sync").num("lower", lower).num("upper", upper);

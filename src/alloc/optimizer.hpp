@@ -17,7 +17,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "alloc/encoder.hpp"
 #include "alloc/problem.hpp"
@@ -50,7 +49,6 @@ struct SolverTuning {
   double var_decay = 0.95;
   int restart_base = 100;          ///< conflicts per Luby unit
   bool default_polarity = false;   ///< initial branching polarity (sign)
-  bool phase_saving = true;
   double random_branch_freq = 0.0; ///< probability of a random decision
   std::uint64_t seed = 0;          ///< RNG seed; 0 keeps the default state
 };
@@ -61,7 +59,8 @@ struct OptimizeOptions {
   SearchStrategy strategy = SearchStrategy::kBisection;
   /// Per-SOLVE budget (0 = unlimited).
   sat::Budget per_call;
-  /// Overall wall-clock limit in seconds (0 = unlimited).
+  /// Overall wall-clock limit in seconds (0 = unlimited); a portfolio
+  /// applies it to the whole run.
   double time_limit_s = 0.0;
   /// Known feasible allocation (e.g. from simulated annealing). Once
   /// verified, its cost replaces the first SOLVE, and it biases every
@@ -77,7 +76,8 @@ struct OptimizeOptions {
   /// callers can dump it for the standalone drat_check tool. Implies
   /// nothing about `certify`; both may be set independently.
   sat::ProofLog* proof = nullptr;
-  /// Cooperative cancellation (set by the portfolio runner).
+  /// Cooperative cancellation: the run winds down once this reads true.
+  /// A portfolio forwards it to every worker.
   const std::atomic<bool>* stop = nullptr;
   /// Solver diversification (see SolverTuning); absent = solver defaults.
   std::optional<SolverTuning> tuning;
@@ -88,23 +88,18 @@ struct OptimizeOptions {
   std::int64_t inprocess_interval = 0;
   /// Cooperative parallel search handle (wired by the portfolio; see
   /// src/par): clause exchange with sibling workers plus the shared cost
-  /// interval. Not owned. When a proof log is active (certify/proof),
-  /// clause import and foreign *lower*-bound adoption are disabled so the
-  /// certificate stays self-contained; exporting clauses, publishing
-  /// bounds, and adopting foreign *incumbents* remain on (an incumbent is
-  /// re-validated independently by the final RT analysis).
+  /// interval and its incumbent store. Not owned. When a proof log is
+  /// active (certify/proof), clause import and foreign *lower*-bound
+  /// adoption are disabled so the certificate stays self-contained;
+  /// exporting clauses, publishing bounds, and adopting foreign
+  /// *incumbents* remain on (an incumbent is re-validated independently
+  /// by the final RT analysis).
   par::SharingClient* share = nullptr;
-  /// Incumbent exchange (portfolio-provided): `publish_incumbent` stores a
-  /// feasible (cost, allocation) this worker found into the shared store
-  /// — called *before* the shared upper bound is dropped, so any worker
-  /// observing the bound can fetch an allocation matching it;
-  /// `fetch_incumbent` returns the best global one.
-  std::function<void(std::int64_t, const rt::Allocation&)> publish_incumbent;
-  std::function<std::optional<std::pair<std::int64_t, rt::Allocation>>()>
-      fetch_incumbent;
   /// Anytime progress callback, invoked after the initial solution and
-  /// after every interval-narrowing SOLVE call (from the optimizer's own
-  /// thread). Used to plot cost-convergence curves; keep it cheap.
+  /// after every interval-narrowing SOLVE call, on the optimizer's own
+  /// thread. In a portfolio every worker calls it from its own thread, so
+  /// calls may run concurrently and each reports that worker's interval
+  /// and effort: the callback must be thread-safe. Keep it cheap.
   std::function<void(const Progress&)> on_progress;
 };
 

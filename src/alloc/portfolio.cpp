@@ -1,12 +1,11 @@
 #include "alloc/portfolio.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -15,7 +14,6 @@
 #include "par/pool.hpp"
 #include "par/sharing.hpp"
 #include "util/mutex.hpp"
-#include "util/stopwatch.hpp"
 
 namespace optalloc::alloc {
 
@@ -23,16 +21,6 @@ namespace {
 
 const char* strategy_name(SearchStrategy s) {
   return s == SearchStrategy::kBisection ? "bisection" : "descending";
-}
-
-std::vector<OptimizeOptions> default_configs(const OptimizeOptions& base) {
-  OptimizeOptions bisect = base;  // paper's BIN_SEARCH
-  bisect.strategy = SearchStrategy::kBisection;
-  OptimizeOptions descend = base;
-  descend.strategy = SearchStrategy::kDescending;
-  OptimizeOptions pbmix = base;
-  pbmix.encoder.backend = encode::Backend::kPbMixed;
-  return {bisect, descend, pbmix};
 }
 
 /// N diversified variants of `base`. Worker 0 keeps the base untouched
@@ -53,7 +41,6 @@ std::vector<OptimizeOptions> diversified_configs(int threads,
       t.var_decay = kDecay[i % 4];
       t.restart_base = kRestart[i % 4];
       t.default_polarity = (i / 2) % 2 != 0;
-      t.phase_saving = true;
       t.random_branch_freq = i >= 2 ? 0.02 : 0.0;
       t.seed = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i) +
                0x2545f4914f6cdd1dull;
@@ -62,18 +49,6 @@ std::vector<OptimizeOptions> diversified_configs(int threads,
     configs.push_back(std::move(c));
   }
   return configs;
-}
-
-/// Clause exchange is sound only between workers whose solvers assign the
-/// same meaning to every shared variable: identical encoder configuration
-/// (the base encoding is deterministic) and incremental mode (scratch
-/// workers rebuild their solver every SOLVE, so there is no long-lived
-/// clause database to import into).
-bool same_encoding(const OptimizeOptions& a, const OptimizeOptions& b) {
-  return a.incremental && b.incremental &&
-         a.encoder.backend == b.encoder.backend &&
-         a.encoder.free_tie_priorities == b.encoder.free_tie_priorities &&
-         a.encoder.redundant_utilization == b.encoder.redundant_utilization;
 }
 
 const char* backend_name(const OptimizeOptions& o) {
@@ -85,17 +60,17 @@ const char* backend_name(const OptimizeOptions& o) {
 PortfolioResult optimize_portfolio(const Problem& problem,
                                    Objective objective,
                                    const PortfolioOptions& options) {
-  std::vector<OptimizeOptions> configs =
-      !options.configs.empty() ? options.configs
-      : options.threads > 0
-          ? diversified_configs(options.threads, options.base_config)
-          : default_configs(options.base_config);
-  const int n = static_cast<int>(configs.size());
+  const int n = options.threads;
+  if (n < 1 || n > kMaxPortfolioThreads) {
+    throw std::invalid_argument(
+        "optimize_portfolio: threads must lie in [1, " +
+        std::to_string(kMaxPortfolioThreads) + "], got " + std::to_string(n));
+  }
+  const std::vector<OptimizeOptions> configs =
+      diversified_configs(n, options.base_config);
   std::atomic<bool> stop{false};
-  Stopwatch total;
 
   PortfolioResult result;
-  result.threads = n;
 
   // Winner arbitration: the race's verdict, written by whichever worker
   // finishes; folded into `result` once every worker has joined.
@@ -103,95 +78,29 @@ PortfolioResult optimize_portfolio(const Problem& problem,
     util::Mutex mu;
     OptimizeResult best OPTALLOC_GUARDED_BY(mu);
     int winner OPTALLOC_GUARDED_BY(mu) = -1;
-    std::vector<OptimizeResult::Status> per_config OPTALLOC_GUARDED_BY(mu);
     std::vector<OptimizeStats> per_config_stats OPTALLOC_GUARDED_BY(mu);
   } arb;
   {
     util::MutexLock lock(arb.mu);
-    arb.per_config.assign(static_cast<std::size_t>(n),
-                          OptimizeResult::Status::kBudgetExhausted);
     arb.per_config_stats.assign(static_cast<std::size_t>(n), OptimizeStats{});
   }
 
   // --- Shared cooperative state (see src/par). -------------------------
-  // One clause pool per group of identically-encoding incremental workers;
-  // one global cost interval plus an incumbent-allocation store.
+  // One global cost interval with its incumbent store, and one clause pool:
+  // every worker encodes with the base encoder configuration, so all of
+  // them share one variable numbering. The pool needs incremental workers
+  // (scratch ones rebuild their solver every SOLVE, so there is no
+  // long-lived clause database to import into) and a partner.
   par::SharedInterval interval;
-  struct Group {
-    std::vector<int> members;
-    std::unique_ptr<par::ClausePool> pool;
-  };
-  std::vector<Group> groups;
-  // config index -> (pool, rank within its group); null pool = no partner.
-  std::vector<std::pair<par::ClausePool*, int>> membership(
-      static_cast<std::size_t>(n), {nullptr, 0});
-  if (options.share_clauses) {
-    for (int i = 0; i < n; ++i) {
-      if (!configs[static_cast<std::size_t>(i)].incremental) continue;
-      Group* group = nullptr;
-      for (Group& g : groups) {
-        if (same_encoding(configs[static_cast<std::size_t>(g.members[0])],
-                          configs[static_cast<std::size_t>(i)])) {
-          group = &g;
-          break;
-        }
-      }
-      if (group == nullptr) {
-        groups.push_back(Group{});
-        group = &groups.back();
-      }
-      group->members.push_back(i);
-    }
-    for (Group& g : groups) {
-      if (g.members.size() < 2) continue;  // nobody to exchange with
-      g.pool = std::make_unique<par::ClausePool>(
-          static_cast<int>(g.members.size()));
-      for (std::size_t rank = 0; rank < g.members.size(); ++rank) {
-        membership[static_cast<std::size_t>(g.members[rank])] = {
-            g.pool.get(), static_cast<int>(rank)};
-      }
-    }
+  std::unique_ptr<par::ClausePool> pool;
+  if (options.share && options.base_config.incremental && n >= 2) {
+    pool = std::make_unique<par::ClausePool>(n);
   }
-  std::vector<std::unique_ptr<par::SharingClient>> clients(
-      static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    par::SharedInterval* iv = options.share_bounds ? &interval : nullptr;
-    auto [pool, rank] = membership[static_cast<std::size_t>(i)];
-    if (iv == nullptr && pool == nullptr) continue;
-    auto client = std::make_unique<par::SharingClient>(iv, pool, rank);
-    client->max_export_lbd = options.share_max_lbd;
-    client->max_export_size = options.share_max_size;
-    clients[static_cast<std::size_t>(i)] = std::move(client);
-  }
-
-  // Best feasible allocation seen by anyone. Workers store here *before*
-  // dropping the shared upper bound, so a sibling that observes the bound
-  // always finds an allocation at least that good.
-  struct Incumbent {
-    util::Mutex mu;
-    bool has OPTALLOC_GUARDED_BY(mu) = false;
-    std::int64_t cost OPTALLOC_GUARDED_BY(mu) = 0;
-    rt::Allocation allocation OPTALLOC_GUARDED_BY(mu);
-  } incumbent;
-
-  // Serialized merged progress stream: one lock across all workers (no
-  // overlapping callbacks) and a monotone merged interval — the greatest
-  // lower bound and least upper bound reported by anyone so far.
-  struct Merged {
-    util::Mutex mu;
-    std::int64_t lower OPTALLOC_GUARDED_BY(mu) =
-        std::numeric_limits<std::int64_t>::min();
-    std::int64_t upper OPTALLOC_GUARDED_BY(mu) =
-        std::numeric_limits<std::int64_t>::max();
-    bool any OPTALLOC_GUARDED_BY(mu) = false;
-    bool has_incumbent OPTALLOC_GUARDED_BY(mu) = false;
-    std::int64_t incumbent_cost OPTALLOC_GUARDED_BY(mu) = -1;
-    // Per-worker latest sat_calls.
-    std::vector<int> calls OPTALLOC_GUARDED_BY(mu);
-  } merged;
-  {
-    util::MutexLock lock(merged.mu);
-    merged.calls.assign(static_cast<std::size_t>(n), 0);
+  // Reserved up front: each client's solver hooks point at the client.
+  std::vector<par::SharingClient> clients;
+  if (options.share) {
+    clients.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) clients.emplace_back(&interval, pool.get(), i);
   }
 
   // Workers inherit the submitting thread's trace context (request id /
@@ -203,61 +112,15 @@ PortfolioResult optimize_portfolio(const Problem& problem,
     obs::ContextScope ctx_scope(parent_ctx);
     OptimizeOptions opts = configs[static_cast<std::size_t>(index)];
     opts.stop = &stop;
-    if (options.time_limit_s > 0.0 &&
-        (opts.time_limit_s <= 0.0 ||
-         opts.time_limit_s > options.time_limit_s)) {
-      opts.time_limit_s = options.time_limit_s;
-    }
-    par::SharingClient* client = clients[static_cast<std::size_t>(index)].get();
-    opts.share = client;
-    if (options.share_bounds) {
-      opts.publish_incumbent = [&](std::int64_t cost,
-                                   const rt::Allocation& alloc) {
-        util::MutexLock lock(incumbent.mu);
-        if (!incumbent.has || cost < incumbent.cost) {
-          incumbent.has = true;
-          incumbent.cost = cost;
-          incumbent.allocation = alloc;
-        }
-      };
-      opts.fetch_incumbent =
-          [&]() -> std::optional<std::pair<std::int64_t, rt::Allocation>> {
-        util::MutexLock lock(incumbent.mu);
-        if (!incumbent.has) return std::nullopt;
-        return std::make_pair(incumbent.cost, incumbent.allocation);
-      };
-    }
-    if (options.on_progress) {
-      opts.on_progress = [&, index](const Progress& p) {
-        util::MutexLock lock(merged.mu);
-        merged.any = true;
-        merged.lower = std::max(merged.lower, p.lower);
-        merged.upper = std::min(merged.upper, p.upper);
-        if (p.has_incumbent &&
-            (!merged.has_incumbent || p.incumbent_cost < merged.incumbent_cost)) {
-          merged.has_incumbent = true;
-          merged.incumbent_cost = p.incumbent_cost;
-        }
-        merged.calls[static_cast<std::size_t>(index)] = p.sat_calls;
-        Progress out;
-        out.seconds = total.seconds();
-        out.lower = merged.lower;
-        out.upper = merged.upper;
-        out.has_incumbent = merged.has_incumbent;
-        out.incumbent_cost = merged.incumbent_cost;
-        out.sat_calls = 0;
-        for (int c : merged.calls) out.sat_calls += c;
-        options.on_progress(out);  // still under the lock: never overlaps
-      };
-    }
+    opts.share =
+        options.share ? &clients[static_cast<std::size_t>(index)] : nullptr;
     if (obs::trace_enabled()) {
       obs::TraceEvent("portfolio_start")
           .num("worker", index)
           .str("strategy", strategy_name(opts.strategy))
           .str("backend", backend_name(opts))
           .boolean("incremental", opts.incremental)
-          .boolean("share_clauses", client != nullptr && client->has_pool())
-          .boolean("share_bounds", options.share_bounds);
+          .boolean("share", options.share);
     }
     OptimizeResult local = optimize(problem, objective, opts);
     const bool cancelled = stop.load(std::memory_order_relaxed) &&
@@ -274,7 +137,6 @@ PortfolioResult optimize_portfolio(const Problem& problem,
             static_cast<std::int64_t>(local.stats.clauses_imported));
     }
     util::MutexLock lock(arb.mu);
-    arb.per_config[static_cast<std::size_t>(index)] = local.status;
     arb.per_config_stats[static_cast<std::size_t>(index)] = local.stats;
     auto definitive = [](const OptimizeResult& r) {
       return r.status == OptimizeResult::Status::kOptimal ||
@@ -303,13 +165,13 @@ PortfolioResult optimize_portfolio(const Problem& problem,
     }
   };
 
-  // Forward an external cancellation request onto the internal stop flag
-  // (which the runner installs into every worker). Polling keeps the
-  // external flag a plain const atomic the caller can share freely.
+  // Forward the caller's stop flag (base_config.stop) onto the internal
+  // one, which the runner installs into every worker. Polling keeps the
+  // caller's flag a plain const atomic it can share freely.
   std::thread watcher;
   std::atomic<bool> watcher_done{false};
-  if (options.external_stop != nullptr) {
-    watcher = std::thread([&, external = options.external_stop] {
+  if (const std::atomic<bool>* external = options.base_config.stop) {
+    watcher = std::thread([&, external] {
       while (!watcher_done.load(std::memory_order_relaxed)) {
         if (external->load(std::memory_order_relaxed)) {
           stop.store(true, std::memory_order_relaxed);
@@ -333,7 +195,6 @@ PortfolioResult optimize_portfolio(const Problem& problem,
     util::MutexLock lock(arb.mu);
     result.best = std::move(arb.best);
     result.winner = arb.winner;
-    result.per_config = std::move(arb.per_config);
     result.per_config_stats = std::move(arb.per_config_stats);
   }
 
@@ -343,9 +204,7 @@ PortfolioResult optimize_portfolio(const Problem& problem,
     result.sharing.bounds_published += s.bounds_published;
     result.sharing.bounds_adopted += s.bounds_adopted;
   }
-  for (const Group& g : groups) {
-    if (g.pool) result.sharing.pool_dropped += g.pool->stats().overwritten;
-  }
+  if (pool) result.sharing.pool_dropped = pool->stats().overwritten;
 
   static const obs::Metric races = obs::counter("portfolio.races");
   static const obs::Metric workers = obs::counter("portfolio.workers");

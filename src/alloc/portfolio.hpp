@@ -1,76 +1,62 @@
 #pragma once
-// Cooperative parallel portfolio optimization: run several diversified
-// optimizer configurations concurrently on the same problem. Beyond the
-// classic race (first definitive answer wins and cancels the rest), the
-// workers cooperate through the src/par sharing layer:
+// Cooperative parallel portfolio optimization: `threads` diversified
+// copies of one optimizer configuration run concurrently on the same
+// problem. Beyond the classic race (first definitive answer wins and
+// cancels the rest), the workers cooperate through the src/par sharing
+// layer:
 //
 //   * clause exchange — each CDCL worker exports its valuable learnt
-//     clauses (units, binaries, low-LBD) into a sharded lock-per-producer
-//     pool and drains its siblings' exports at restart boundaries. Only
-//     workers with an identical encoder configuration exchange clauses
-//     (same configuration => same deterministic variable numbering);
+//     clauses (units, binaries, low-LBD) into one sharded
+//     lock-per-producer pool and drains its siblings' exports at restart
+//     boundaries. Every worker uses the base encoder configuration, so
+//     all of them share one deterministic variable numbering;
 //   * bound broadcasting — one shared atomic cost interval: any worker
 //     that proves a lower bound raises it, any worker that finds an
-//     incumbent drops the upper side (and parks the allocation in a
-//     shared store), and every worker folds the global interval into its
+//     incumbent offers it (the allocation is stored before the upper
+//     side drops), and every worker folds the global interval into its
 //     own binary search before each SOLVE step;
-//   * diversification — generated workers vary search strategy, VSIDS
-//     decay, restart pacing, default polarity, random-branching rate and
-//     RNG seed, so the portfolio explores different parts of the search
-//     space instead of racing down the same path.
+//   * diversification — workers other than worker 0 vary search
+//     strategy, VSIDS decay, restart pacing, default polarity,
+//     random-branching rate and RNG seed, so the portfolio explores
+//     different parts of the search space instead of racing down the
+//     same path.
 //
-// Since every configuration solves the identical constraint system, any
+// Since every worker solves the identical constraint system, any
 // "optimal" verdict is *the* global optimum — sharing only changes how
 // fast it is reached.
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "alloc/optimizer.hpp"
 
 namespace optalloc::alloc {
 
+/// Most workers one portfolio may start: each is an OS thread. The
+/// service caps a request's `threads` field at the same bound.
+constexpr int kMaxPortfolioThreads = 64;
+
 struct PortfolioOptions {
-  /// Configurations to race, verbatim. Empty = generate `threads`
-  /// diversified variants of `base_config` (worker 0 keeps the base
-  /// untouched); with `threads` == 0 too, a sensible default trio
-  /// (bisection, descending, PB backend).
-  std::vector<OptimizeOptions> configs;
-  /// Worker count for generated configurations (ignored when `configs`
-  /// is non-empty). 0 = the historical default trio.
-  int threads = 0;
-  /// Template for generated configurations: carries encoder config,
-  /// certification, warm starts, per-call budgets into every worker.
+  /// Worker count in [1, kMaxPortfolioThreads]; anything else makes
+  /// optimize_portfolio() throw std::invalid_argument before it starts a
+  /// thread. Worker 0 runs `base_config` untouched, so one worker behaves
+  /// exactly like plain optimize().
+  int threads = 1;
+  /// Every worker's configuration: encoder, certification, warm start,
+  /// per-call budget. `time_limit_s` bounds the whole run; `stop` cancels
+  /// every worker (a watcher forwards it onto the portfolio's own stop
+  /// flag, which also lets a definitive answer cancel the losers);
+  /// `on_progress` is called from the worker threads, possibly
+  /// concurrently (see OptimizeOptions::on_progress).
   OptimizeOptions base_config;
-  /// Overall wall-clock limit (0 = unlimited).
-  double time_limit_s = 0.0;
-  /// Caller-side cooperative cancellation. The portfolio drives its
-  /// workers through an *internal* stop flag (so a definitive answer can
-  /// cancel the losers); when this is set, a watcher thread forwards the
-  /// external request onto that internal flag. Per-config
-  /// OptimizeOptions::stop is overwritten by the runner — this is the only
-  /// way to cancel a whole portfolio from outside.
-  const std::atomic<bool>* external_stop = nullptr;
-  /// Cooperative clause exchange between same-encoding workers.
-  bool share_clauses = true;
-  /// Shared cost interval + incumbent-allocation exchange.
-  bool share_bounds = true;
-  /// Export filter: learnts with LBD <= this (or size <= 2) travel.
-  std::uint32_t share_max_lbd = 4;
-  /// Export filter: learnts longer than this never travel.
-  std::uint32_t share_max_size = 32;
-  /// Serialized anytime progress over the merged portfolio interval:
-  /// callbacks never overlap (mutual exclusion across workers) and the
-  /// reported interval shrinks monotonically even though the underlying
-  /// per-worker reports race. `sat_calls` counts all workers' SOLVE calls.
-  std::function<void(const Progress&)> on_progress;
+  /// Clause exchange and bound broadcasting between the workers. Off =
+  /// an independent race over the same configurations.
+  bool share = true;
 };
 
 /// Cooperative-search traffic aggregated over all workers.
 struct SharingStats {
-  std::uint64_t clauses_exported = 0;  ///< learnts pushed to the pools
+  std::uint64_t clauses_exported = 0;  ///< learnts pushed to the pool
   std::uint64_t clauses_imported = 0;  ///< foreign learnts attached
   std::uint64_t bounds_published = 0;  ///< shared-interval tightenings
   std::uint64_t bounds_adopted = 0;    ///< foreign bounds folded in
@@ -79,10 +65,8 @@ struct SharingStats {
 
 struct PortfolioResult {
   OptimizeResult best;
-  int winner = -1;  ///< index of the winning configuration
-  int threads = 0;  ///< number of workers actually raced
-  std::vector<OptimizeResult::Status> per_config;
-  /// Per-worker search effort (indexed like per_config).
+  int winner = -1;  ///< index of the winning worker
+  /// Per-worker search effort, indexed by worker (size == threads).
   std::vector<OptimizeStats> per_config_stats;
   SharingStats sharing;
 };

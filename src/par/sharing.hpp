@@ -2,25 +2,31 @@
 // Cooperative-search shared state and the per-worker client handle.
 //
 // A cooperative portfolio run (src/alloc/portfolio) owns:
-//   * one SharedInterval — the global cost interval [lower, upper]: any
-//     worker that proves "no allocation cheaper than L" raises lower, any
-//     worker that finds an incumbent of cost U drops upper, and every
-//     worker folds the global interval into its own binary search before
-//     each SOLVE step, so the searches converge jointly;
-//   * one ClausePool per group of workers with identical encodings — only
-//     solvers over the same variable numbering may exchange clauses.
+//   * one SharedInterval — the global cost interval [lower, upper] plus
+//     the incumbent allocation that witnesses `upper`: any worker that
+//     proves "no allocation cheaper than L" raises lower, any worker that
+//     finds an incumbent of cost U offers it (stored, then upper drops),
+//     and every worker folds the global interval into its own binary
+//     search before each SOLVE step, so the searches converge jointly;
+//   * at most one ClausePool — every worker encodes the same system with
+//     the same encoder configuration, so all of them share one variable
+//     numbering and may exchange clauses.
 //
 // Each worker gets a SharingClient: a thin, single-thread handle bundling
-// its pool cursor, worker index, and export filter, and wiring the
-// sat::Solver sharing hooks. The client itself is not thread-safe; the
-// underlying pool and interval are.
+// its pool cursor and worker index, and wiring the sat::Solver sharing
+// hooks. The client itself is not thread-safe; the underlying pool and
+// interval are.
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "par/pool.hpp"
+#include "rt/model.hpp"
 #include "sat/solver.hpp"
+#include "util/mutex.hpp"
 
 namespace optalloc::par {
 
@@ -70,17 +76,29 @@ class SharedInterval {
     return updates_.load(std::memory_order_relaxed);
   }
 
+  /// Offer a feasible incumbent: store the allocation if it is the
+  /// cheapest yet, *then* drop `upper` to its cost. The order is the
+  /// contract — a worker that observes a bound always finds an allocation
+  /// at least that good through better_than(). Returns true if `upper`
+  /// improved.
+  bool offer(std::int64_t cost, const rt::Allocation& allocation);
+
+  /// The stored incumbent, if it is cheaper than `upper`.
+  std::optional<std::pair<std::int64_t, rt::Allocation>> better_than(
+      std::int64_t upper) const;
+
  private:
   std::atomic<std::int64_t> lower_{kNoLower};
   std::atomic<std::int64_t> upper_{kNoUpper};
   std::atomic<std::uint64_t> updates_{0};
+  mutable util::Mutex mu_;
+  std::int64_t incumbent_cost_ OPTALLOC_GUARDED_BY(mu_) = kNoUpper;
+  rt::Allocation incumbent_ OPTALLOC_GUARDED_BY(mu_);
 };
 
 /// One worker's handle on the shared state. Constructed by the portfolio;
-/// passed to the optimizer via OptimizeOptions::share. Either pointer may
-/// be null: interval == nullptr disables bound broadcasting, pool ==
-/// nullptr disables clause exchange (e.g. a worker whose encoder config
-/// has no sharing partner).
+/// passed to the optimizer via OptimizeOptions::share. `pool` may be null
+/// (no clause exchange: a one-worker or scratch-mode run).
 class SharingClient {
  public:
   SharingClient(SharedInterval* interval, ClausePool* pool, int worker)
@@ -89,19 +107,11 @@ class SharingClient {
   }
 
   SharedInterval* interval() const { return interval_; }
-  bool has_pool() const { return pool_ != nullptr; }
-  int worker() const { return worker_; }
-
-  /// Export filter forwarded to the solver hooks.
-  std::uint32_t max_export_lbd = 4;
-  std::uint32_t max_export_size = 32;
-  /// Largest batch pulled per restart drain.
-  std::size_t max_import_batch = 512;
 
   /// Install the clause-exchange hooks on `solver`. `var_limit` restricts
   /// exchanged clauses to the deterministic base encoding (variables that
   /// exist right after build(), before any query-dependent bound-guard
-  /// circuits), so a clause means the same thing in every group member.
+  /// circuits), so a clause means the same thing in every worker.
   /// No-op without a pool. The solver itself suppresses imports while a
   /// proof log is attached (an imported clause has no RUP derivation in
   /// the local log); exports stay on either way.

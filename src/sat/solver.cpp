@@ -499,8 +499,8 @@ Lit Solver::pick_branch_lit() {
 }
 
 void Solver::maybe_export(std::span<const Lit> lits, std::uint32_t lbd) {
-  if (lits.empty() || lits.size() > share_.max_export_size) return;
-  if (lits.size() > 2 && lbd > share_.max_export_lbd) return;
+  if (lits.empty() || lits.size() > ShareHooks::kMaxExportSize) return;
+  if (lits.size() > 2 && lbd > ShareHooks::kMaxExportLbd) return;
   if (share_.export_var_limit >= 0) {
     for (const Lit l : lits) {
       if (l.var() >= share_.export_var_limit) return;

@@ -219,7 +219,7 @@ class Solver {
   /// Hooks wiring this solver into a shared clause pool (see src/par).
   /// `export_clause` fires at learn time for every clause passing the
   /// filter: units and binaries always, larger clauses when LBD <=
-  /// max_export_lbd and size <= max_export_size, and — when
+  /// kMaxExportLbd and size <= kMaxExportSize, and — when
   /// export_var_limit >= 0 — only clauses whose variables all lie below
   /// the limit (the deterministic base encoding shared by every worker;
   /// clauses over query-local bound-guard circuits stay private).
@@ -234,8 +234,8 @@ class Solver {
   struct ShareHooks {
     std::function<void(std::span<const Lit>, std::uint32_t lbd)> export_clause;
     std::function<void(std::vector<SharedClause>&)> import_clauses;
-    std::uint32_t max_export_lbd = 4;
-    std::uint32_t max_export_size = 32;
+    static constexpr std::uint32_t kMaxExportLbd = 4;
+    static constexpr std::uint32_t kMaxExportSize = 32;
     std::int32_t export_var_limit = -1;  ///< -1 = no variable restriction
   };
   void set_share(ShareHooks hooks) { share_ = std::move(hooks); }

@@ -3,6 +3,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "alloc/portfolio.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -73,7 +74,7 @@ std::optional<Request> parse_request(const std::string& line,
     if (const auto obj = doc->get_string("objective")) req.objective = *obj;
     budget(req);
     if (req.verb == Request::Verb::kSubmit) {
-      integer("threads", 1, kMaxRequestThreads, req.threads);
+      integer("threads", 1, alloc::kMaxPortfolioThreads, req.threads);
       req.wait = get_bool(*doc, "wait", false);
     }
     return checked(std::move(req));

@@ -57,7 +57,7 @@
 // in particular are answered (with code "unknown_verb"), never silently
 // dropped. Integer fields (conflicts, threads, max_samples and the edits'
 // numbers) must be whole numbers in range, else "bad_request" (or
-// "bad_patch"); threads is capped at kMaxRequestThreads.
+// "bad_patch"); threads is capped at alloc::kMaxPortfolioThreads.
 // The problem text is the alloc::io file format embedded as one JSON
 // string (newlines escaped); the objective uses alloc::parse_objective
 // spec syntax. Anytime answers surface as state="done" with
@@ -77,9 +77,6 @@ namespace optalloc::svc {
 /// and its connection closed, so no client can grow a handler's buffer
 /// without bound.
 constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
-
-/// Most portfolio workers one submit may ask for: each is an OS thread.
-constexpr int kMaxRequestThreads = 64;
 
 struct Request {
   enum class Verb {

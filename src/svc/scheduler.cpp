@@ -148,7 +148,17 @@ Scheduler::Scheduler(const SchedulerOptions& options)
   }
 }
 
-Scheduler::~Scheduler() { shutdown(/*drain=*/false); }
+Scheduler::~Scheduler() {
+  shutdown(/*drain=*/false);
+  util::MutexLock lock(mu_);
+  while (!jobs_.empty()) forget(jobs_.begin());
+}
+
+void Scheduler::forget(JobMap::iterator it) {
+  obs::res_add(jobs_res_,
+               -static_cast<std::int64_t>(it->second->canon.text.size()), -1);
+  jobs_.erase(it);
+}
 
 std::optional<std::string> Scheduler::submit(JobRequest request) {
   auto job = std::make_shared<Job>();
@@ -170,6 +180,8 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     }
     job->id = "r" + std::to_string(++next_id_);
     jobs_.emplace(job->id, job);
+    obs::res_add(jobs_res_, static_cast<std::int64_t>(job->canon.text.size()),
+                 1);
     depth = queue_.size();
   }
   obs::ContextScope ctx_scope(job->ctx);
@@ -215,7 +227,7 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
   {
     util::MutexLock lock(mu_);
     if (queue_.size() >= options_.queue_capacity) {
-      jobs_.erase(job->id);
+      forget(jobs_.find(job->id));
       obs::add(metrics().rejected);
       return std::nullopt;
     }
@@ -583,8 +595,9 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   opts.inprocess = options_.inprocess;
   opts.inprocess_interval = options_.inprocess_interval;
   // Feed the job view: every optimizer progress report lands in the
-  // job's relaxed atomics (portfolio workers share them; last writer
-  // wins, which is fine — the interval only tightens).
+  // job's relaxed atomics. Portfolio workers call this concurrently from
+  // their own threads; last writer wins, which is fine for a view that
+  // lags the solver anyway.
   {
     Job* j = job.get();
     opts.on_progress = [j](const alloc::Progress& p) {
@@ -613,8 +626,6 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
     alloc::PortfolioOptions popts;
     popts.threads = job->request.threads;
     popts.base_config = opts;
-    popts.time_limit_s = opts.time_limit_s;
-    popts.external_stop = &job->stop;
     alloc::PortfolioResult pr = optimize_portfolio(
         job->canon.problem, job->canon.objective, popts);
     result = std::move(pr.best);
@@ -711,6 +722,13 @@ void Scheduler::finalize(const std::shared_ptr<Job>& job, JobState state,
     util::MutexLock lock(mu_);
     job->answer = std::move(answer);
     job->state = state;
+    // Bounded retention: the oldest-finished job makes room. Waiters
+    // already holding it keep their own reference.
+    finished_.push_back(job->id);
+    if (finished_.size() > kMaxFinishedJobs) {
+      forget(jobs_.find(finished_.front()));
+      finished_.pop_front();
+    }
   }
   done_cv_.notify_all();
   if (obs::trace_enabled()) {

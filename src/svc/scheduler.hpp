@@ -141,6 +141,10 @@ struct SessionAnswer {
 
 class Scheduler {
  public:
+  /// Terminal jobs kept for status/result/cancel/dump. Past this many the
+  /// oldest-finished job is forgotten, and its id reads as unknown.
+  static constexpr std::size_t kMaxFinishedJobs = 4096;
+
   explicit Scheduler(const SchedulerOptions& options = {});
   ~Scheduler();  ///< shutdown(false)
   Scheduler(const Scheduler&) = delete;
@@ -214,6 +218,10 @@ class Scheduler {
   static JobSnapshot snapshot_of(const Job& job, JobState state,
                                  JobAnswer answer);
 
+  using JobMap = std::map<std::string, std::shared_ptr<Job>>;
+  /// Drop a job from jobs_ and from the "svc.jobs" level.
+  void forget(JobMap::iterator it) OPTALLOC_REQUIRES(mu_);
+
   void worker_loop();
   void execute(const std::shared_ptr<Job>& job);
   /// Terminalize under the scheduler mutex and wake waiters.
@@ -230,7 +238,10 @@ class Scheduler {
   /// `cancel_requested`) are likewise guarded by mu_; that guard crosses
   /// the object boundary, which GUARDED_BY cannot name — it is enforced
   /// by keeping every such access inside this class, under mu_.
-  std::map<std::string, std::shared_ptr<Job>> jobs_ OPTALLOC_GUARDED_BY(mu_);
+  JobMap jobs_ OPTALLOC_GUARDED_BY(mu_);
+  /// Ids of the terminal jobs in jobs_, oldest-finished first; at most
+  /// kMaxFinishedJobs long.
+  std::deque<std::string> finished_ OPTALLOC_GUARDED_BY(mu_);
   std::deque<std::shared_ptr<Job>> queue_ OPTALLOC_GUARDED_BY(mu_);
   /// Live sessions. The map is guarded by mu_; each entry's inc::Session
   /// is guarded by the entry's own mutex so a long incremental solve
@@ -249,7 +260,9 @@ class Scheduler {
   /// holding it (mu_ stays free so workers can finish); latecomers block
   /// here until the join completes instead of racing t.join().
   util::Mutex shutdown_mu_;
-  /// Capacity accounting: queued-request bytes/count and open sessions.
+  /// Capacity accounting: held jobs (canonical problem bytes / jobs in
+  /// jobs_), queued-request bytes/count and open sessions.
+  obs::Resource jobs_res_ = obs::resource("svc.jobs");
   obs::Resource queue_res_ = obs::resource("svc.queue");
   obs::Resource sessions_res_ = obs::resource("svc.sessions");
 };

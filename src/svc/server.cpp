@@ -203,6 +203,19 @@ std::string Server::handle_line(const std::string& line) {
   std::string code;
   const auto req = parse_request(line, &error, &code);
   if (!req) return error_line(error, code);
+  const auto unknown_id = [](const std::string& id) {
+    return error_line("unknown request id \"" + id + "\"", "unknown_id");
+  };
+  // The terminal job view, or unknown_id once the scheduler has no such
+  // job (never submitted, or evicted from retention while waiting).
+  const auto await = [&](const std::string& id) {
+    for (;;) {
+      if (const auto snap = scheduler_.wait(id, 0.25)) {
+        return snapshot_line(*snap);
+      }
+      if (!scheduler_.status(id)) return unknown_id(id);
+    }
+  };
 
   switch (req->verb) {
     case Request::Verb::kSubmit: {
@@ -212,31 +225,15 @@ std::string Server::handle_line(const std::string& line) {
       const auto id = scheduler_.submit(std::move(job));
       if (!id) return error_line("queue full or shutting down", "queue_full");
       if (!req->wait) return submit_ack_line(*id);
-      for (;;) {
-        if (const auto snap = scheduler_.wait(*id, 0.25)) {
-          return snapshot_line(*snap);
-        }
-      }
+      return await(*id);
     }
     case Request::Verb::kStatus: {
       const auto snap = scheduler_.status(req->id);
-      if (!snap) {
-        return error_line("unknown request id \"" + req->id + "\"",
-                          "unknown_id");
-      }
+      if (!snap) return unknown_id(req->id);
       return snapshot_line(*snap);
     }
-    case Request::Verb::kResult: {
-      if (!scheduler_.status(req->id)) {
-        return error_line("unknown request id \"" + req->id + "\"",
-                          "unknown_id");
-      }
-      for (;;) {
-        if (const auto snap = scheduler_.wait(req->id, 0.25)) {
-          return snapshot_line(*snap);
-        }
-      }
-    }
+    case Request::Verb::kResult:
+      return await(req->id);
     case Request::Verb::kCancel: {
       if (!scheduler_.cancel(req->id)) {
         return error_line("unknown or already finished request id \"" +
@@ -249,10 +246,7 @@ std::string Server::handle_line(const std::string& line) {
       std::uint64_t flight_req = 0;  // 0 = every ring, unfiltered
       if (!req->id.empty()) {
         const auto snap = scheduler_.status(req->id);
-        if (!snap) {
-          return error_line("unknown request id \"" + req->id + "\"",
-                            "unknown_id");
-        }
+        if (!snap) return unknown_id(req->id);
         flight_req = snap->req;
       }
       return dump_line(flight_req);

@@ -1,11 +1,14 @@
 #pragma once
-// Small integer helpers shared by the response-time analysis and the
-// encoder. All arithmetic in the library is over signed 64-bit integers;
-// helpers assert against overflow in debug builds.
+// Small integer helpers shared by the response-time analysis, the
+// encoder and the command-line tools. All arithmetic in the library is
+// over signed 64-bit integers; helpers assert against overflow in debug
+// builds.
 
 #include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 namespace optalloc {
 
@@ -51,6 +54,22 @@ inline std::optional<std::int64_t> checked_mul(std::int64_t a,
   std::int64_t out;
   if (__builtin_mul_overflow(a, b, &out)) return std::nullopt;
   return out;
+}
+
+/// The whole of `text` as a base-10 integer in [lo, hi]; nullopt for an
+/// empty string, trailing junk ("4x"), overflow or a value out of range.
+/// Command-line counts go through this instead of atoi, which reads "4x"
+/// as 4 and garbage as 0.
+inline std::optional<std::int64_t> parse_int(std::string_view text,
+                                             std::int64_t lo,
+                                             std::int64_t hi) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end || v < lo || v > hi) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 }  // namespace optalloc

@@ -1,9 +1,9 @@
 // Tests for the cooperative parallel layer (src/par) and its integration
 // with the optimizer/portfolio: clause-pool semantics under concurrency
 // (run these under tsan — see the ci tsan job), shared-interval
-// tightening, solver-level export/import hooks, 1-worker determinism,
-// sharing-on/off optimum agreement, the certification interaction, and
-// the serialized portfolio progress stream.
+// tightening and its store-before-drop incumbent rule, solver-level
+// export/import hooks, 1-worker determinism, sharing-on/off optimum
+// agreement, and the certification interaction.
 
 #include <gtest/gtest.h>
 
@@ -142,6 +142,52 @@ TEST(ParInterval, ConcurrentUpdatesKeepExtremes) {
   EXPECT_EQ(iv.upper(), 100000 - ((kThreads - 1) * 1000 + 999));
 }
 
+rt::Allocation allocation_tagged(std::int64_t cost) {
+  rt::Allocation a;
+  a.task_ecu = {static_cast<int>(cost)};
+  return a;
+}
+
+TEST(ParInterval, OfferStoresTheIncumbentBeforeTheBoundDrops) {
+  par::SharedInterval iv;
+  EXPECT_FALSE(iv.better_than(par::SharedInterval::kNoUpper).has_value());
+  EXPECT_TRUE(iv.offer(7, allocation_tagged(7)));
+  EXPECT_EQ(iv.upper(), 7);
+  const auto got = iv.better_than(8);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->first, 7);
+  EXPECT_EQ(got->second.task_ecu, allocation_tagged(7).task_ecu);
+  EXPECT_FALSE(iv.better_than(7).has_value());  // strictly better only
+  EXPECT_FALSE(iv.offer(9, allocation_tagged(9)));  // worse: kept out
+  EXPECT_EQ(iv.better_than(8)->first, 7);
+
+  // Concurrently: whenever an observer sees the bound at u, the store
+  // already holds an allocation of cost <= u — and it is the one offered
+  // with that cost, not a torn or stale copy.
+  par::SharedInterval shared;
+  constexpr std::int64_t kStart = 20000;
+  std::atomic<bool> go{false};
+  std::thread publisher([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (std::int64_t c = kStart; c >= 0; --c) {
+      shared.offer(c, allocation_tagged(c));
+    }
+  });
+  go.store(true);
+  for (std::int64_t u = shared.upper(); u != 0; u = shared.upper()) {
+    if (u == par::SharedInterval::kNoUpper) continue;
+    const auto inc = shared.better_than(u + 1);
+    if (!inc) {
+      ADD_FAILURE() << "bound " << u << " without an incumbent";
+      break;
+    }
+    EXPECT_LE(inc->first, u);
+    EXPECT_EQ(inc->second.task_ecu, allocation_tagged(inc->first).task_ecu);
+  }
+  publisher.join();
+  EXPECT_EQ(shared.better_than(1)->first, 0);
+}
+
 // --- Solver sharing hooks ---------------------------------------------
 
 void add_pigeonhole(sat::Solver& s, int pigeons, int holes,
@@ -256,7 +302,7 @@ TEST(ParPortfolio, OneWorkerMatchesPlainOptimize) {
   ASSERT_EQ(plain.status, OptimizeResult::Status::kOptimal);
   ASSERT_EQ(res.best.status, OptimizeResult::Status::kOptimal);
   EXPECT_EQ(res.best.cost, plain.cost);
-  EXPECT_EQ(res.threads, 1);
+  EXPECT_EQ(res.per_config_stats.size(), 1u);
   // Worker 0 runs the untouched base config: the search must be the
   // plain one step for step, not merely agree on the optimum.
   EXPECT_EQ(res.best.stats.sat_calls, plain.stats.sat_calls);
@@ -272,8 +318,7 @@ TEST(ParPortfolio, SharingOnAndOffAgreeOnTheOptimum) {
     for (const bool sharing : {false, true}) {
       PortfolioOptions popts;
       popts.threads = 4;
-      popts.share_clauses = sharing;
-      popts.share_bounds = sharing;
+      popts.share = sharing;
       const PortfolioResult res =
           optimize_portfolio(p, Objective::ring_trt(0), popts);
       ASSERT_EQ(res.best.status, OptimizeResult::Status::kOptimal)
@@ -295,6 +340,7 @@ TEST(ParPortfolio, CooperativeRunExchangesTraffic) {
   ASSERT_EQ(res.best.status, OptimizeResult::Status::kOptimal);
   // All four workers share one encoder config: clause exchange is live.
   EXPECT_GT(res.sharing.clauses_exported, 0u);
+  EXPECT_GT(res.sharing.clauses_imported, 0u);
   EXPECT_GT(res.sharing.bounds_published, 0u);
   EXPECT_EQ(res.per_config_stats.size(), 4u);
 }
@@ -317,45 +363,6 @@ TEST(ParPortfolio, CertifyComposesWithSharing) {
   EXPECT_TRUE(res.best.certified) << res.best.certify_error;
   // The proof gate is per-solver: nothing may have been imported.
   EXPECT_EQ(res.sharing.clauses_imported, 0u);
-}
-
-TEST(ParPortfolio, ProgressStreamIsSerializedAndMonotone) {
-  const alloc::Problem p = workload::tindell_prefix(14);
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
-  std::vector<alloc::Progress> seen;
-  PortfolioOptions popts;
-  popts.threads = 4;
-  popts.on_progress = [&](const alloc::Progress& pr) {
-    if (inside.fetch_add(1) != 0) overlapped.store(true);
-    seen.push_back(pr);  // safe iff callbacks are mutually excluded
-    inside.fetch_sub(1);
-  };
-  const PortfolioResult res =
-      optimize_portfolio(p, Objective::ring_trt(0), popts);
-  ASSERT_EQ(res.best.status, OptimizeResult::Status::kOptimal);
-  EXPECT_FALSE(overlapped.load());
-  ASSERT_GT(seen.size(), 0u);
-  for (std::size_t i = 1; i < seen.size(); ++i) {
-    EXPECT_GE(seen[i].lower, seen[i - 1].lower) << "report " << i;
-    EXPECT_LE(seen[i].upper, seen[i - 1].upper) << "report " << i;
-    EXPECT_GE(seen[i].sat_calls, seen[i - 1].sat_calls) << "report " << i;
-  }
-  for (const alloc::Progress& pr : seen) {
-    EXPECT_LE(pr.lower, pr.upper);
-  }
-  // The final merged interval pins the optimum.
-  EXPECT_EQ(seen.back().upper, res.best.cost);
-}
-
-TEST(ParPortfolio, SharingSurvivesMixedEncoderConfigs) {
-  // The historical default trio mixes encoder backends: CNF workers may
-  // exchange clauses with each other but never with the PB-mixed worker.
-  // The run must still converge on the optimum.
-  const alloc::Problem p = workload::tindell_prefix(12);
-  const PortfolioResult res = optimize_portfolio(p, Objective::ring_trt(0));
-  ASSERT_EQ(res.best.status, OptimizeResult::Status::kOptimal);
-  EXPECT_EQ(res.per_config.size(), 3u);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "alloc/cost.hpp"
 #include "alloc/io.hpp"
 #include "alloc/optimizer.hpp"
+#include "alloc/portfolio.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -699,7 +700,7 @@ TEST(Protocol, IntegerFieldsMustBeWholeNumbersInRange) {
   // Each would otherwise cast an untrusted double to an integer — undefined
   // behaviour when out of range — or ask for more worker threads than the
   // cap: all are refused at parse time with "bad_request".
-  const std::string over_cap = std::to_string(kMaxRequestThreads + 1);
+  const std::string over_cap = std::to_string(alloc::kMaxPortfolioThreads + 1);
   for (const std::string& line : std::vector<std::string>{
            R"({"verb":"submit","problem":"system 1","threads":1e12})",
            R"({"verb":"submit","problem":"system 1","threads":1.5})",
@@ -729,10 +730,10 @@ TEST(Protocol, IntegerFieldsMustBeWholeNumbersInRange) {
   // The cap itself and large whole budgets still parse.
   const auto at_cap = parse_request(
       R"({"verb":"submit","problem":"system 1","conflicts":1e15,"threads":)" +
-          std::to_string(kMaxRequestThreads) + "}",
+          std::to_string(alloc::kMaxPortfolioThreads) + "}",
       &error, &code);
   ASSERT_TRUE(at_cap.has_value()) << error;
-  EXPECT_EQ(at_cap->threads, kMaxRequestThreads);
+  EXPECT_EQ(at_cap->threads, alloc::kMaxPortfolioThreads);
   EXPECT_EQ(at_cap->conflicts, std::int64_t{1000000000000000});
 
   // Through the server: refused before any job exists.
@@ -1155,6 +1156,55 @@ TEST(Scheduler, InspectTracksLifecyclePhases) {
   EXPECT_NE(ins->req, 0u);
   EXPECT_FALSE(scheduler.status("bogus").has_value());
   scheduler.shutdown(true);
+}
+
+TEST(Server, FinishedJobRetentionIsBounded) {
+  // One solve primes the cache; cap + 1 cache hits then finish inline.
+  // The scheduler keeps at most kMaxFinishedJobs terminal jobs, evicting
+  // the oldest-finished first, so the earliest ids become unknown while
+  // the newest stays readable.
+  const RegistryDelta delta;
+  {
+    ServerOptions options;
+    options.scheduler = quick_options(1);
+    Server server(options);
+    const auto primed = obs::json_parse(
+        server.handle_line(submit_line(kSystem, "sum-trt", /*wait=*/true)));
+    ASSERT_TRUE(primed.has_value());
+    ASSERT_EQ(primed->get_string("status"), "optimal");
+    std::string first_hit;
+    std::string last_hit;
+    const std::string hit_line = submit_line(kSystem, "sum-trt", false);
+    for (std::size_t i = 0; i <= Scheduler::kMaxFinishedJobs; ++i) {
+      const auto ack = obs::json_parse(server.handle_line(hit_line));
+      ASSERT_TRUE(ack.has_value());
+      const auto id = ack->get_string("id");
+      ASSERT_TRUE(id.has_value());
+      if (i == 0) first_hit = *id;
+      last_hit = *id;
+    }
+    EXPECT_EQ(delta("svc.cache.hits"),
+              static_cast<std::int64_t>(Scheduler::kMaxFinishedJobs) + 1);
+    EXPECT_LE(delta("res.svc.jobs.items"),
+              static_cast<std::int64_t>(Scheduler::kMaxFinishedJobs));
+    EXPECT_GT(delta("res.svc.jobs.bytes"), 0);
+
+    for (const char* verb : {"status", "result", "cancel", "dump"}) {
+      const auto reply = obs::json_parse(server.handle_line(
+          obs::JsonObject().str("verb", verb).str("id", first_hit).build()));
+      ASSERT_TRUE(reply.has_value()) << verb;
+      EXPECT_FALSE(reply->get("ok")->b) << verb;
+      EXPECT_EQ(reply->get_string("code"), "unknown_id") << verb;
+    }
+    const auto newest = obs::json_parse(server.handle_line(
+        obs::JsonObject().str("verb", "status").str("id", last_hit).build()));
+    ASSERT_TRUE(newest.has_value());
+    EXPECT_TRUE(newest->get("ok")->b);
+    EXPECT_TRUE(newest->get("cached")->b);
+  }
+  // A destroyed scheduler retracts every job it held.
+  EXPECT_EQ(delta("res.svc.jobs.items"), 0);
+  EXPECT_EQ(delta("res.svc.jobs.bytes"), 0);
 }
 
 TEST(Server, MetricsVerbExposesRequestHistograms) {
